@@ -3,7 +3,6 @@ constructions and a randomized bound-verification harness."""
 
 from .graph import (
     Graph,
-    degree,
     degree_sequence,
     from_edge_list,
     is_connected,

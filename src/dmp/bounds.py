@@ -9,7 +9,9 @@ implementation defect, since the inequalities are proven.
 
 from __future__ import annotations
 
+import os
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -17,19 +19,6 @@ from heapq import heapify, heappop, heappush
 from .graph import Graph, from_edge_list, is_connected, is_tree, is_triangle_free
 from . import operations as ops
 from .solver import SearchLimits, mp_exact
-
-THEOREM_IDS = (
-    "edge_add",
-    "edge_delete",
-    "subdivision",
-    "contraction_triangle_free",
-    "vertex_add_general",
-    "vertex_delete_general",
-    "tree_leaf_add",
-    "tree_leaf_delete",
-    "cartesian_product",
-    "join",
-)
 
 CSV_HEADER = "theorem,seed,trial,n,m,target,mp_before,mp_after,lower,upper,pass,tight_low,tight_high"
 
@@ -42,78 +31,105 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+Bound = Callable[[int, int, int | None, int | None], Fraction]
+
+
 @dataclass(frozen=True)
 class TheoremSpec:
+    """One proven bound: mp after ``operation`` lies in [lower, upper].
+
+    ``hypothesis(g, target)`` returns why the theorem does not apply, or None
+    when it does.  ``lower`` and ``upper`` take (mp_before, n_before,
+    mp_partner, n_partner); the partner values are None unless the operation
+    is a product or a join, whose target is the partner graph.
+    """
+
     id: str
-    needs_partner: bool
-    # lower/upper as functions of (mp_before, n_before, mp_partner, n_partner)
-    lower_desc: str
-    upper_desc: str
+    operation: str
+    hypothesis: Callable[[Graph, object], str | None]
+    lower: Bound
+    upper: Bound
 
-    def lower(self, mp: int, n: int, mp_p: int | None, n_p: int | None) -> Fraction:
-        return _BOUNDS[self.id][0](mp, n, mp_p, n_p)
-
-    def upper(self, mp: int, n: int, mp_p: int | None, n_p: int | None) -> Fraction:
-        return _BOUNDS[self.id][1](mp, n, mp_p, n_p)
+    @property
+    def needs_partner(self) -> bool:
+        return self.operation in ops.PARTNER_OPS
 
 
-_BOUNDS = {
-    "edge_add": (
-        lambda mp, n, p, np_: Fraction(mp + 1, 3),
-        lambda mp, n, p, np_: Fraction(3 * mp),
-    ),
-    "edge_delete": (
-        lambda mp, n, p, np_: Fraction(mp, 3),
-        lambda mp, n, p, np_: Fraction(3 * mp - 1),
-    ),
-    "subdivision": (
-        lambda mp, n, p, np_: Fraction(_ceil_div(mp + 1, 2)),
-        lambda mp, n, p, np_: Fraction(mp + 1),
-    ),
-    "contraction_triangle_free": (
-        lambda mp, n, p, np_: Fraction(mp, 3),
-        lambda mp, n, p, np_: Fraction(2 * mp),
-    ),
-    "vertex_add_general": (
-        lambda mp, n, p, np_: Fraction(2),
-        lambda mp, n, p, np_: Fraction(n + 1),
-    ),
-    "vertex_delete_general": (
-        lambda mp, n, p, np_: Fraction(1),
-        lambda mp, n, p, np_: Fraction(n - 1),
-    ),
-    "tree_leaf_add": (
-        lambda mp, n, p, np_: Fraction(mp, 2),
-        lambda mp, n, p, np_: Fraction(2 * mp),
-    ),
-    "tree_leaf_delete": (
-        lambda mp, n, p, np_: Fraction(mp, 2),
-        lambda mp, n, p, np_: Fraction(2 * mp),
-    ),
-    "cartesian_product": (
-        lambda mp, n, p, np_: Fraction(mp + p - 1),
-        lambda mp, n, p, np_: Fraction(mp * p),
-    ),
-    "join": (
-        lambda mp, n, p, np_: Fraction(mp + p),
-        lambda mp, n, p, np_: Fraction(n + np_),
-    ),
-}
+def _holds(g: Graph, target) -> None:
+    return None
 
-THEOREMS: dict[str, TheoremSpec] = {
-    "edge_add": TheoremSpec("edge_add", False, "(mp+1)/3", "3*mp"),
-    "edge_delete": TheoremSpec("edge_delete", False, "mp/3", "3*mp-1"),
-    "subdivision": TheoremSpec("subdivision", False, "ceil((mp+1)/2)", "mp+1"),
-    "contraction_triangle_free": TheoremSpec(
-        "contraction_triangle_free", False, "mp/3", "2*mp"),
-    "vertex_add_general": TheoremSpec("vertex_add_general", False, "2", "n+1"),
-    "vertex_delete_general": TheoremSpec("vertex_delete_general", False, "1", "n-1"),
-    "tree_leaf_add": TheoremSpec("tree_leaf_add", False, "mp/2", "2*mp"),
-    "tree_leaf_delete": TheoremSpec("tree_leaf_delete", False, "mp/2", "2*mp"),
-    "cartesian_product": TheoremSpec(
-        "cartesian_product", True, "mp_G+mp_H-1", "mp_G*mp_H"),
-    "join": TheoremSpec("join", True, "mp_G+mp_H", "n_G+n_H"),
-}
+
+def _triangle_free(g: Graph, target) -> str | None:
+    return None if is_triangle_free(g) else "graph not triangle-free"
+
+
+# is_tree raises on the empty graph; there the operation rejects the target
+def _tree_leaf_added(g: Graph, neighbors) -> str | None:
+    if not (g.n and is_tree(g)):
+        return "graph not a tree"
+    return None if len(neighbors) == 1 else "new vertex is not a leaf"
+
+
+def _tree_leaf_deleted(g: Graph, v: int) -> str | None:
+    if not (g.n and is_tree(g)):
+        return "graph not a tree"
+    return None if g.degree(v) == 1 else f"vertex {v} is not a leaf"
+
+
+def _both_connected(g: Graph, h: Graph) -> str | None:
+    if g.n and h.n and is_connected(g) and is_connected(h):
+        return None
+    return "operands not both connected"
+
+
+# One row per theorem.  For an operation, the first row whose hypothesis
+# holds is the most specific theorem, so the tree rows precede the general
+# vertex rows.
+THEOREMS: dict[str, TheoremSpec] = {spec.id: spec for spec in (
+    TheoremSpec("edge_add", "add-edge", _holds,
+                lambda mp, n, p, np_: Fraction(mp + 1, 3),
+                lambda mp, n, p, np_: Fraction(3 * mp)),
+    TheoremSpec("edge_delete", "delete-edge", _holds,
+                lambda mp, n, p, np_: Fraction(mp, 3),
+                lambda mp, n, p, np_: Fraction(3 * mp - 1)),
+    TheoremSpec("subdivision", "subdivide", _holds,
+                lambda mp, n, p, np_: Fraction(_ceil_div(mp + 1, 2)),
+                lambda mp, n, p, np_: Fraction(mp + 1)),
+    TheoremSpec("contraction_triangle_free", "contract", _triangle_free,
+                lambda mp, n, p, np_: Fraction(mp, 3),
+                lambda mp, n, p, np_: Fraction(2 * mp)),
+    TheoremSpec("tree_leaf_add", "add-vertex", _tree_leaf_added,
+                lambda mp, n, p, np_: Fraction(mp, 2),
+                lambda mp, n, p, np_: Fraction(2 * mp)),
+    TheoremSpec("tree_leaf_delete", "delete-vertex", _tree_leaf_deleted,
+                lambda mp, n, p, np_: Fraction(mp, 2),
+                lambda mp, n, p, np_: Fraction(2 * mp)),
+    TheoremSpec("vertex_add_general", "add-vertex", _holds,
+                lambda mp, n, p, np_: Fraction(2),
+                lambda mp, n, p, np_: Fraction(n + 1)),
+    TheoremSpec("vertex_delete_general", "delete-vertex", _holds,
+                lambda mp, n, p, np_: Fraction(1),
+                lambda mp, n, p, np_: Fraction(n - 1)),
+    TheoremSpec("cartesian_product", "cartesian-product", _both_connected,
+                lambda mp, n, p, np_: Fraction(mp + p - 1),
+                lambda mp, n, p, np_: Fraction(mp * p)),
+    TheoremSpec("join", "join", _holds,
+                lambda mp, n, p, np_: Fraction(mp + p),
+                lambda mp, n, p, np_: Fraction(n + np_)),
+)}
+
+THEOREM_IDS = tuple(THEOREMS)
+
+
+def select_theorem(operation: str, g: Graph, target) -> tuple[TheoremSpec | None, str | None]:
+    """The most specific theorem for the operation, or None and the reason none applies."""
+    reason = f"unknown operation kind {operation!r}"
+    for spec in THEOREMS.values():
+        if spec.operation == operation:
+            reason = spec.hypothesis(g, target)
+            if reason is None:
+                return spec, None
+    return None, reason
 
 
 @dataclass(frozen=True)
@@ -165,89 +181,46 @@ def describe_target(operation: str, target) -> str:
     return f"partner(n={target.n};m={target.m})"
 
 
-_THEOREM_OPERATION = {
-    "edge_add": "add-edge",
-    "edge_delete": "delete-edge",
-    "subdivision": "subdivide",
-    "contraction_triangle_free": "contract",
-    "vertex_add_general": "add-vertex",
-    "vertex_delete_general": "delete-vertex",
-    "tree_leaf_add": "add-vertex",
-    "tree_leaf_delete": "delete-vertex",
-    "cartesian_product": "cartesian-product",
-    "join": "join",
-}
+def _evaluate(
+    spec: TheoremSpec,
+    g: Graph,
+    targets: list,
+    limits: SearchLimits | None,
+    seed: int = 0,
+    trial: int = 0,
+) -> tuple[list[BoundCheckRecord], list[Graph]]:
+    """Records and result graphs for targets whose hypothesis already holds.
 
-
-def theorem_operation(theorem_id: str) -> str:
-    return _THEOREM_OPERATION[theorem_id]
-
-
-def _check_precondition(theorem_id: str, g: Graph, target, partner: Graph | None) -> None:
-    if theorem_id in ("cartesian_product", "join"):
-        if partner is None:
-            raise PreconditionError(f"{theorem_id} needs a partner graph")
-        if theorem_id == "cartesian_product":
-            if not (is_connected(g) and is_connected(partner)):
-                raise PreconditionError("cartesian_product theorem needs connected operands")
-        return
-    if theorem_id == "contraction_triangle_free":
-        if not is_triangle_free(g):
-            raise PreconditionError("graph has a triangle, contraction theorem does not apply")
-        if not g.has_edge(*target):
-            raise PreconditionError(f"target {target} is not an edge")
-        return
-    if theorem_id in ("edge_delete", "subdivision"):
-        if not g.has_edge(*target):
-            raise PreconditionError(f"target {target} is not an edge")
-        return
-    if theorem_id == "edge_add":
-        u, v = target
-        if u == v or g.has_edge(u, v):
-            raise PreconditionError(f"target {target} is not a non-adjacent pair")
-        return
-    if theorem_id == "tree_leaf_add":
-        if not is_tree(g):
-            raise PreconditionError("tree_leaf_add needs a tree")
-        if len(target) != 1:
-            raise PreconditionError("tree_leaf_add adds a vertex with exactly one neighbor")
-        return
-    if theorem_id == "tree_leaf_delete":
-        if not is_tree(g):
-            raise PreconditionError("tree_leaf_delete needs a tree")
-        if g.n < 2:
-            raise PreconditionError("cannot delete from a single-vertex tree")
-        if g.degree(target) != 1:
-            raise PreconditionError(f"vertex {target} is not a leaf")
-        return
-    if theorem_id == "vertex_add_general":
-        if len(target) == 0:
-            raise PreconditionError("new vertex needs at least one neighbor")
-        return
-    if theorem_id == "vertex_delete_general":
-        if g.n < 2:
-            raise PreconditionError("cannot delete the last vertex")
-        return
-    raise ValueError(f"unknown theorem {theorem_id!r}")
-
-
-def _apply(theorem_id: str, g: Graph, target, partner: Graph | None) -> Graph:
-    op = _THEOREM_OPERATION[theorem_id]
-    if op == "add-edge":
-        return ops.add_edge(g, *target)
-    if op == "delete-edge":
-        return ops.delete_edge(g, *target)
-    if op == "subdivide":
-        return ops.subdivide_edge(g, *target)
-    if op == "contract":
-        return ops.contract_edge(g, *target)[0]
-    if op == "add-vertex":
-        return ops.add_vertex(g, target)
-    if op == "delete-vertex":
-        return ops.delete_vertex(g, target)[0]
-    if op == "cartesian-product":
-        return ops.cartesian_product(g, partner)
-    return ops.join(g, partner)
+    Every target is applied before any solve, so a bad target fails first;
+    then g and the partner are solved once, and each result once.
+    """
+    afters = [ops.apply(spec.operation, g, t) for t in targets]
+    mp_before = mp_exact(g, limits).value
+    mp_p = n_p = None
+    if spec.needs_partner:
+        (partner,) = targets
+        mp_p, n_p = mp_exact(partner, limits).value, partner.n
+    lower = spec.lower(mp_before, g.n, mp_p, n_p)
+    upper = spec.upper(mp_before, g.n, mp_p, n_p)
+    records = []
+    for target, after in zip(targets, afters):
+        mp_after = mp_exact(after, limits).value
+        records.append(BoundCheckRecord(
+            theorem=spec.id,
+            seed=seed,
+            trial=trial,
+            n=g.n,
+            m=g.m,
+            target=describe_target(spec.operation, target),
+            mp_before=mp_before,
+            mp_after=mp_after,
+            lower=lower,
+            upper=upper,
+            passed=lower <= mp_after <= upper,
+            tight_low=mp_after == lower,
+            tight_high=mp_after == upper,
+        ))
+    return records, afters
 
 
 def check_bound(
@@ -263,34 +236,14 @@ def check_bound(
     if theorem_id not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem_id!r}")
     spec = THEOREMS[theorem_id]
-    _check_precondition(theorem_id, g, target, partner)
-    mp_before = mp_exact(g, limits).value
-    mp_p = n_p = None
     if spec.needs_partner:
-        mp_p = mp_exact(partner, limits).value
-        n_p = partner.n
-        tgt = partner
-    else:
-        tgt = target
-    after = _apply(theorem_id, g, target, partner)
-    mp_after = mp_exact(after, limits).value
-    lower = spec.lower(mp_before, g.n, mp_p, n_p)
-    upper = spec.upper(mp_before, g.n, mp_p, n_p)
-    return BoundCheckRecord(
-        theorem=theorem_id,
-        seed=seed,
-        trial=trial,
-        n=g.n,
-        m=g.m,
-        target=describe_target(_THEOREM_OPERATION[theorem_id], tgt),
-        mp_before=mp_before,
-        mp_after=mp_after,
-        lower=lower,
-        upper=upper,
-        passed=lower <= mp_after <= upper,
-        tight_low=mp_after == lower,
-        tight_high=mp_after == upper,
-    )
+        if partner is None:
+            raise PreconditionError(f"{theorem_id} needs a partner graph")
+        target = partner
+    reason = spec.hypothesis(g, target)
+    if reason is not None:
+        raise PreconditionError(reason)
+    return _evaluate(spec, g, [target], limits, seed, trial)[0][0]
 
 
 # random graph models
@@ -410,8 +363,6 @@ def _trial_seed(seed: int, trial: int) -> int:
 def _default_policy(theorem_id: str) -> str | tuple[str, int]:
     if theorem_id == "vertex_add_general":
         return ("sample", 1)  # subsets are exponential, sample per trial
-    if theorem_id in ("cartesian_product", "join"):
-        return "all"  # single target: the partner
     return "all"
 
 
@@ -450,30 +401,25 @@ def _candidate_targets(theorem_id: str, g: Graph, rng: random.Random, policy):
 
 def _run_trial(config: CampaignConfig, trial: int, limits: SearchLimits | None):
     """Records for one trial, or None when the trial is skipped."""
-    theorem_id = config.theorem
-    policy = config.target_policy or _default_policy(theorem_id)
+    spec = THEOREMS[config.theorem]
     tseed = _trial_seed(config.seed, trial)
     g = random_graph(config.model, tseed)
-    rng = random.Random(tseed ^ 0x5EED)
-    if theorem_id in ("cartesian_product", "join"):
-        partner = random_graph(config.model, tseed + 1)
-        if theorem_id == "cartesian_product" and not (
-            is_connected(g) and is_connected(partner)
-        ):
-            return None
-        rec = check_bound(
-            theorem_id, g, None, partner, limits, seed=config.seed, trial=trial
-        )
-        return [rec]
-    if theorem_id == "contraction_triangle_free" and not is_triangle_free(g):
+    if spec.needs_partner:
+        targets = [random_graph(config.model, tseed + 1)]
+    else:
+        policy = config.target_policy or _default_policy(spec.id)
+        rng = random.Random(tseed ^ 0x5EED)
+        targets = _candidate_targets(spec.id, g, rng, policy)
+    if not targets or any(spec.hypothesis(g, t) is not None for t in targets):
         return None
-    targets = _candidate_targets(theorem_id, g, rng, policy)
-    if not targets:
-        return None
-    return [
-        check_bound(theorem_id, g, t, None, limits, seed=config.seed, trial=trial)
-        for t in targets
-    ]
+    return _evaluate(spec, g, targets, limits, config.seed, trial)[0]
+
+
+def _worker_count(jobs: int, trials: int) -> int:
+    """Worker processes for a campaign: jobs, capped by the CPUs and the trials."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1, trials)
 
 
 def run_campaign(
@@ -490,19 +436,20 @@ def run_campaign(
         config.model, RandomTree
     ):
         raise ValueError(f"{config.theorem} campaigns need the random_tree model")
+    workers = _worker_count(jobs, config.trials)
 
     results: list[list[BoundCheckRecord] | None]
-    if jobs > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(
                     _run_trial,
                     [config] * config.trials,
                     range(config.trials),
                     [limits] * config.trials,
-                    chunksize=max(1, config.trials // (jobs * 4)),
+                    chunksize=max(1, config.trials // (workers * 4)),
                 )
             )
     else:

@@ -69,82 +69,39 @@ def _parse_ids(raw: str) -> tuple[int, ...]:
         raise CliError(f"expected comma-separated integers, got {raw!r}") from None
 
 
-def _op_theorem(op: str, g: gr.Graph, target, partner) -> tuple[str | None, str | None]:
-    """Most specific applicable theorem for the operation, or a reason why none."""
-    if op == "add-edge":
-        return "edge_add", None
-    if op == "delete-edge":
-        return "edge_delete", None
-    if op == "subdivide":
-        return "subdivision", None
-    if op == "contract":
-        if gr.is_triangle_free(g):
-            return "contraction_triangle_free", None
-        return None, "graph not triangle-free"
+def _op_target(args, op: str):
+    """The operation's target from the flags: an edge, a vertex, neighbors or a partner."""
+    if op in ops.PARTNER_OPS:
+        if args.partner is None:
+            raise CliError(f"--op {args.op} needs --partner")
+        return _read_graph(args.partner, args.format)
     if op == "add-vertex":
-        if gr.is_tree(g) and len(target) == 1:
-            return "tree_leaf_add", None
-        return "vertex_add_general", None
+        if args.neighbors is None:
+            raise CliError("--op add-vertex needs --neighbors")
+        return _parse_ids(args.neighbors)
     if op == "delete-vertex":
-        if gr.is_tree(g) and g.degree(target) == 1 and g.n >= 2:
-            return "tree_leaf_delete", None
-        return "vertex_delete_general", None
-    if op == "cartesian-product":
-        if gr.is_connected(g) and gr.is_connected(partner):
-            return "cartesian_product", None
-        return None, "operands not both connected"
-    return "join", None
+        if args.vertex is None:
+            raise CliError("--op delete-vertex needs --vertex")
+        return args.vertex
+    if args.u is None or args.v is None:
+        raise CliError(f"--op {args.op} needs --u and --v")
+    return (args.u, args.v)
 
 
 def _cmd_op(args) -> int:
     g = _read_graph(args.input, args.format)
     op = {"cartesian": "cartesian-product"}.get(args.op, args.op)
     limits = _limits()
-    partner = None
-    if op in ("cartesian-product", "join"):
-        if args.partner is None:
-            raise CliError(f"--op {args.op} needs --partner")
-        partner = _read_graph(args.partner, args.format)
-        target = partner
-        after = (
-            ops.cartesian_product(g, partner)
-            if op == "cartesian-product"
-            else ops.join(g, partner)
-        )
-    elif op == "add-vertex":
-        if args.neighbors is None:
-            raise CliError("--op add-vertex needs --neighbors")
-        target = _parse_ids(args.neighbors)
-        after = ops.add_vertex(g, target)
-    elif op == "delete-vertex":
-        if args.vertex is None:
-            raise CliError("--op delete-vertex needs --vertex")
-        target = args.vertex
-        after = ops.delete_vertex(g, target)[0]
-    else:
-        if args.u is None or args.v is None:
-            raise CliError(f"--op {args.op} needs --u and --v")
-        target = (args.u, args.v)
-        fn = {
-            "add-edge": ops.add_edge,
-            "delete-edge": ops.delete_edge,
-            "subdivide": ops.subdivide_edge,
-        }.get(op)
-        after = fn(g, *target) if fn else ops.contract_edge(g, *target)[0]
-
-    mp_before = mp_exact(g, limits).value
-    mp_after = mp_exact(after, limits).value
-    theorem_id, reason = _op_theorem(op, g, target, partner)
-    if theorem_id is None:
+    target = _op_target(args, op)
+    spec, reason = bounds.select_theorem(op, g, target)
+    if spec is None:
+        after = ops.apply(op, g, target)
+        mp_before, mp_after = mp_exact(g, limits).value, mp_exact(after, limits).value
         print(f"{mp_before} -> {mp_after}, theorem inapplicable ({reason})")
     else:
-        spec = bounds.THEOREMS[theorem_id]
-        mp_p = mp_exact(partner, limits).value if spec.needs_partner else None
-        n_p = partner.n if spec.needs_partner else None
-        lo = spec.lower(mp_before, g.n, mp_p, n_p)
-        hi = spec.upper(mp_before, g.n, mp_p, n_p)
-        verdict = "pass" if lo <= mp_after <= hi else "FAIL"
-        print(f"{mp_before} -> {mp_after}, bounds [{lo}, {hi}], {verdict}")
+        (rec,), (after,) = bounds._evaluate(spec, g, [target], limits)
+        verdict = "pass" if rec.passed else "FAIL"
+        print(f"{rec.mp_before} -> {rec.mp_after}, bounds [{rec.lower}, {rec.upper}], {verdict}")
     if args.out:
         _write_graph(after, args.out, args.json)
     return 0

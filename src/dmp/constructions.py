@@ -15,17 +15,7 @@ from dataclasses import dataclass
 
 from .graph import Graph, from_edge_list
 from . import operations as ops
-
-OP_KINDS = (
-    "add-edge",
-    "delete-edge",
-    "subdivide",
-    "contract",
-    "add-vertex",
-    "delete-vertex",
-    "cartesian-product",
-    "join",
-)
+from .operations import OP_KINDS
 
 
 @dataclass(frozen=True)
@@ -54,25 +44,7 @@ class FamilyInfo:
 
 def apply_designated(inst: ConstructionInstance) -> Graph:
     """Apply the instance's designated operation and return the new graph."""
-    op, t = inst.operation, inst.target
-    g = inst.graph
-    if op == "add-edge":
-        return ops.add_edge(g, *t)  # type: ignore[misc]
-    if op == "delete-edge":
-        return ops.delete_edge(g, *t)  # type: ignore[misc]
-    if op == "subdivide":
-        return ops.subdivide_edge(g, *t)  # type: ignore[misc]
-    if op == "contract":
-        return ops.contract_edge(g, *t)[0]  # type: ignore[misc]
-    if op == "add-vertex":
-        return ops.add_vertex(g, t)  # type: ignore[arg-type]
-    if op == "delete-vertex":
-        return ops.delete_vertex(g, t)[0]  # type: ignore[arg-type]
-    if op == "cartesian-product":
-        return ops.cartesian_product(g, t)  # type: ignore[arg-type]
-    if op == "join":
-        return ops.join(g, t)  # type: ignore[arg-type]
-    raise AssertionError(op)
+    return ops.apply(inst.operation, inst.graph, inst.target)
 
 
 # basic graphs

@@ -59,10 +59,6 @@ def from_edge_list(n: int, edges: list[tuple[int, int]] | tuple[tuple[int, int],
     return Graph(n, tuple(frozenset(a) for a in adj))
 
 
-def degree(g: Graph, v: int) -> int:
-    return g.degree(v)
-
-
 def degree_sequence(g: Graph) -> list[int]:
     """All vertex degrees, sorted non-increasing."""
     return sorted((len(a) for a in g.adj), reverse=True)
@@ -109,6 +105,14 @@ def is_tree(g: Graph) -> bool:
     return g.m == g.n - 1 and is_connected(g)
 
 
+def _from_parsed_edges(n: int, edges: list[tuple[int, int]]) -> Graph:
+    """from_edge_list for file input, where a repeated edge is an error."""
+    g = from_edge_list(n, edges)
+    if g.m != len(edges):
+        raise ValueError(f"duplicate edges: {len(edges)} listed, {g.m} distinct")
+    return g
+
+
 def to_edge_list_text(g: Graph) -> str:
     edges = g.edges()
     lines = [f"{g.n} {len(edges)}"]
@@ -141,7 +145,7 @@ def parse_edge_list_text(text: str) -> Graph:
         except ValueError:
             raise ValueError(f"edge line must be 'u v', got {line!r}") from None
         edges.append((u, v))
-    return from_edge_list(n, edges)
+    return _from_parsed_edges(n, edges)
 
 
 def to_json_text(g: Graph) -> str:
@@ -164,7 +168,7 @@ def parse_json_text(text: str) -> Graph:
         if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
             raise ValueError(f"bad edge entry {e!r}")
         pairs.append((e[0], e[1]))
-    return from_edge_list(n, pairs)
+    return _from_parsed_edges(n, pairs)
 
 
 def parse_graph_text(text: str) -> Graph:

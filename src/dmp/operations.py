@@ -3,7 +3,8 @@ vertex add/delete, Cartesian product and join.
 
 All operations are pure and return new graphs.  Operations that remove or
 merge vertices re-index densely and also return an old-to-new id map.
-Product vertices are indexed (a, b) -> a * h.n + b.
+Product vertices are indexed (a, b) -> a * h.n + b.  ``apply`` dispatches
+by operation name, the one dispatch every caller goes through.
 """
 
 from __future__ import annotations
@@ -123,3 +124,33 @@ def join(g: Graph, h: Graph) -> Graph:
     edges.extend((u + off, v + off) for u, v in h.edges())
     edges.extend((u, w + off) for u in range(g.n) for w in range(h.n))
     return from_edge_list(g.n + h.n, edges)
+
+
+# Each entry looks its operation up in the module globals at call time, so a
+# wrapper installed on this module (for tracing, say) also sees calls made
+# through apply.
+_DISPATCH = {
+    "add-edge": lambda g, t: add_edge(g, *t),
+    "delete-edge": lambda g, t: delete_edge(g, *t),
+    "subdivide": lambda g, t: subdivide_edge(g, *t),
+    "contract": lambda g, t: contract_edge(g, *t)[0],
+    "add-vertex": lambda g, t: add_vertex(g, t),
+    "delete-vertex": lambda g, t: delete_vertex(g, t)[0],
+    "cartesian-product": lambda g, t: cartesian_product(g, t),
+    "join": lambda g, t: join(g, t),
+}
+
+OP_KINDS = tuple(_DISPATCH)
+PARTNER_OPS = ("cartesian-product", "join")  # their target is a second graph
+
+
+def apply(op: str, g: Graph, target) -> Graph:
+    """Apply operation ``op`` (one of OP_KINDS) and return the new graph.
+
+    ``target`` is an edge (u, v), a vertex, a tuple of neighbors for
+    add-vertex, or the partner graph for cartesian-product and join.  An
+    invalid target raises the operation's own ValueError.
+    """
+    if op not in _DISPATCH:
+        raise ValueError(f"unknown operation kind {op!r}")
+    return _DISPATCH[op](g, target)

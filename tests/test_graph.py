@@ -130,6 +130,7 @@ def test_parse_graph_text_sniffs_json():
         "3 1\n0 1\n1 2\n",
         "3 1\nx y\n",
         "a b\n0 1\n",
+        "2 2\n0 1\n1 0\n",
     ],
 )
 def test_parse_edge_list_rejects_malformed(text):
@@ -137,7 +138,10 @@ def test_parse_edge_list_rejects_malformed(text):
         parse_edge_list_text(text)
 
 
-@pytest.mark.parametrize("text", ["[]", '{"n": 2}', '{"n": 2, "edges": [[0]]}'])
+@pytest.mark.parametrize(
+    "text",
+    ["[]", '{"n": 2}', '{"n": 2, "edges": [[0]]}', '{"n": 2, "edges": [[0, 1], [0, 1]]}'],
+)
 def test_parse_json_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_json_text(text)

@@ -1,0 +1,214 @@
+"""Guards for the single operation dispatch and the single theorem registry."""
+
+import hashlib
+
+import pytest
+
+from dmp import bounds, cli, operations as ops
+from dmp.bounds import (
+    CampaignConfig,
+    Gnp,
+    PreconditionError,
+    RandomBipartite,
+    RandomTree,
+    THEOREMS,
+    THEOREM_IDS,
+    check_bound,
+    records_to_csv,
+    run_campaign,
+    select_theorem,
+)
+from dmp.constructions import (
+    complete_graph,
+    cycle_graph,
+    generate,
+    list_families,
+    path_graph,
+    star_graph,
+)
+from dmp.graph import from_edge_list, to_edge_list_text
+
+# sha256 of records_to_csv for 10 trials at seed 42 on the acceptance
+# criterion 3 models: campaign reports must not change by a single byte
+GOLDEN_CSV_SHA256 = {
+    "edge_add": (Gnp(10, 0.3),
+                 "411dd127b204188e65adafbedd985681f05a0932b7a52f8fe65b393ba028db52"),
+    "edge_delete": (Gnp(10, 0.4),
+                    "57d7209f6b217cc07a4671331e954f6842131cfbac9c808500810000124db060"),
+    "subdivision": (Gnp(9, 0.35),
+                    "162e73488c6c974da6b125f298909eb65be69847b04efff2cf837491aaa4c01c"),
+    "contraction_triangle_free": (
+        RandomBipartite(5, 5, 0.4),
+        "04cd933f3678da242cd03a8dfa1146fa8447e6043ed6ee9c63a327360d842794"),
+    "vertex_add_general": (Gnp(8, 0.4),
+                           "692b4660ff0bf95c199623c9195c68bd21868bd8e26a5989c186b92e6a861313"),
+    "vertex_delete_general": (
+        Gnp(9, 0.4),
+        "326f727575754942c617bbfe4f0fcbb962a168c589aa0e3aa3eb2e5fa1a219d4"),
+    "tree_leaf_add": (RandomTree(10),
+                      "cbe54077c41a470f113bb4c39f2bf5dc8b6d7d51d58cb048f5f3cddb47a2777d"),
+    "tree_leaf_delete": (RandomTree(12),
+                         "cd8005cd9307463cc060f38a57912e6191846b76b985c46da51392941c8a2096"),
+    "cartesian_product": (Gnp(4, 0.6),
+                          "39e87532079d899c6c6c5ecb11a25a7c48a7eb96aeb718279fa46a5f5b29d7d6"),
+    "join": (Gnp(5, 0.5),
+             "54fdfa9242eaad56719975f54e6f5e9237ab54b21e7bd523fd4d4a3415464354"),
+}
+
+
+@pytest.mark.parametrize("tid", sorted(GOLDEN_CSV_SHA256))
+def test_golden_report_digest(tid):
+    model, digest = GOLDEN_CSV_SHA256[tid]
+    records, _ = run_campaign(CampaignConfig(tid, model, trials=10, seed=42))
+    assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == digest
+
+
+def test_every_operation_has_a_theorem_and_a_dispatch():
+    assert set(THEOREM_IDS) == set(GOLDEN_CSV_SHA256)
+    assert {spec.operation for spec in THEOREMS.values()} == set(ops.OP_KINDS)
+
+
+def test_apply_rejects_unknown_operation():
+    with pytest.raises(ValueError, match="unknown operation"):
+        ops.apply("rotate", path_graph(3), (0, 1))
+
+
+def _min_instance(info):
+    return generate(info.name, {name: lo for name, lo in info.params})
+
+
+@pytest.mark.parametrize(
+    "info", [f for f in list_families() if f.theorem], ids=lambda f: f.name
+)
+def test_family_theorem_matches_its_operation(info):
+    inst = _min_instance(info)
+    spec = THEOREMS[info.theorem]
+    assert spec.operation == inst.operation
+    if spec.needs_partner:
+        rec = check_bound(info.theorem, inst.graph, None, partner=inst.target)
+    else:
+        rec = check_bound(info.theorem, inst.graph, inst.target)
+    assert rec.passed
+    assert (rec.mp_before, rec.mp_after) == (inst.claimed_mp_before, inst.claimed_mp_after)
+
+
+def test_k4_free_fails_the_triangle_free_hypothesis():
+    inst = generate("k4_free", {"k": 2})
+    spec = THEOREMS["contraction_triangle_free"]
+    assert spec.hypothesis(inst.graph, inst.target) is not None
+    assert select_theorem("contract", inst.graph, inst.target) == (
+        None, "graph not triangle-free")
+    with pytest.raises(PreconditionError):
+        check_bound("contraction_triangle_free", inst.graph, inst.target)
+
+
+def test_selection_prefers_the_tree_rows():
+    tree = star_graph(3)
+    assert select_theorem("add-vertex", tree, (1,))[0].id == "tree_leaf_add"
+    assert select_theorem("add-vertex", tree, (1, 2))[0].id == "vertex_add_general"
+    assert select_theorem("add-vertex", cycle_graph(4), (1,))[0].id == "vertex_add_general"
+    assert select_theorem("delete-vertex", tree, 1)[0].id == "tree_leaf_delete"
+    assert select_theorem("delete-vertex", tree, 0)[0].id == "vertex_delete_general"
+
+
+def test_selection_reports_disconnected_product_operands():
+    disc = from_edge_list(3, [(0, 1)])
+    assert select_theorem("cartesian-product", disc, path_graph(2)) == (
+        None, "operands not both connected")
+    assert select_theorem("join", disc, path_graph(2))[0].id == "join"
+
+
+def _count_solves(monkeypatch, *modules):
+    calls = []
+    for mod in modules:
+        orig = mod.mp_exact
+
+        def counted(g, limits=None, _orig=orig):
+            calls.append(g)
+            return _orig(g, limits)
+
+        monkeypatch.setattr(mod, "mp_exact", counted)
+    return calls
+
+
+def test_campaign_solves_each_graph_once(monkeypatch):
+    calls = _count_solves(monkeypatch, bounds)
+    config = CampaignConfig("edge_add", Gnp(7, 0.4), trials=12, seed=5)
+    records, summary = run_campaign(config)
+    assert summary.records > summary.trials
+    assert len(calls) == summary.records + (summary.trials - summary.skipped_trials)
+
+
+def test_bad_target_fails_before_any_solve(monkeypatch):
+    calls = _count_solves(monkeypatch, bounds)
+    with pytest.raises(ValueError, match="not present"):
+        check_bound("edge_delete", path_graph(4), (0, 2))
+    with pytest.raises(ValueError, match="at least one neighbor"):
+        check_bound("vertex_add_general", path_graph(4), ())
+    assert calls == []
+
+
+def _op_counts(monkeypatch, tmp_path, g, partner, *flags):
+    """Solver calls and operation calls made by one `dmp op` run."""
+    solves = _count_solves(monkeypatch, bounds, cli)
+    applied = []
+    for name in ("add_edge", "contract_edge", "join"):
+        orig = getattr(ops, name)
+
+        def counted(*args, _orig=orig, _name=name):
+            applied.append(_name)
+            return _orig(*args)
+
+        monkeypatch.setattr(ops, name, counted)
+    (tmp_path / "g.txt").write_text(to_edge_list_text(g))
+    (tmp_path / "h.txt").write_text(to_edge_list_text(partner))
+    argv = ["op", str(tmp_path / "g.txt"), *flags, "--out", str(tmp_path / "o.txt")]
+    code = cli.main([str(tmp_path / "h.txt") if a == "H" else a for a in argv])
+    return code, solves, applied
+
+
+def test_op_applies_once_and_solves_each_graph_once(monkeypatch, tmp_path, capsys):
+    g, h = path_graph(3), complete_graph(2)
+    code, solves, applied = _op_counts(
+        monkeypatch, tmp_path, g, h, "--op", "join", "--partner", "H")
+    assert code == 0 and applied == ["join"]
+    assert solves[:2] == [g, h] and len(solves) == 3 and solves[2].n == 5
+    assert capsys.readouterr().out == "2 -> 4, bounds [4, 5], pass\n"
+
+
+def test_op_inapplicable_solves_graph_and_result_once(monkeypatch, tmp_path, capsys):
+    code, solves, applied = _op_counts(
+        monkeypatch, tmp_path, complete_graph(3), path_graph(1),
+        "--op", "contract", "--u", "0", "--v", "1")
+    assert code == 0 and applied == ["contract_edge"] and len(solves) == 2
+    assert capsys.readouterr().out == (
+        "3 -> 2, theorem inapplicable (graph not triangle-free)\n")
+
+
+def test_op_bad_target_fails_before_any_solve(monkeypatch, tmp_path):
+    code, solves, _ = _op_counts(
+        monkeypatch, tmp_path, path_graph(3), path_graph(1),
+        "--op", "add-edge", "--u", "0", "--v", "1")
+    assert code == 1 and solves == []
+
+
+def test_worker_count_is_capped(monkeypatch):
+    monkeypatch.setattr(bounds.os, "cpu_count", lambda: 4)
+    assert bounds._worker_count(100_000, 1_000) == 4
+    assert bounds._worker_count(100_000, 3) == 3
+    assert bounds._worker_count(2, 1_000) == 2
+    assert bounds._worker_count(1, 1_000) == 1
+    monkeypatch.setattr(bounds.os, "cpu_count", lambda: None)
+    assert bounds._worker_count(8, 1_000) == 1
+
+
+@pytest.mark.parametrize("jobs", [0, -4])
+def test_campaign_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        run_campaign(CampaignConfig("edge_add", Gnp(5, 0.5), trials=3, seed=1), jobs=jobs)
+
+
+def test_verify_rejects_negative_jobs_with_exit_1(capsys):
+    assert cli.main(["verify", "--theorem", "edge_add", "--model", "gnp", "--n", "5",
+                     "--p", "0.5", "--trials", "3", "--jobs", "-4"]) == 1
+    assert "jobs must be >= 1" in capsys.readouterr().err
