@@ -38,15 +38,17 @@ Bound = Callable[[int, int, int | None, int | None], Fraction]
 class TheoremSpec:
     """One proven bound: mp after ``operation`` lies in [lower, upper].
 
-    ``hypothesis(g, target)`` returns why the theorem does not apply, or None
-    when it does.  ``lower`` and ``upper`` take (mp_before, n_before,
-    mp_partner, n_partner); the partner values are None unless the operation
-    is a product or a join, whose target is the partner graph.
+    ``hypothesis(g, targets)`` takes a tuple of targets and returns the first
+    reason the theorem does not apply to one of them, or None when it applies
+    to all; checks of ``g`` alone run once, however many targets there are.
+    ``lower`` and ``upper`` take (mp_before, n_before, mp_partner,
+    n_partner); the partner values are None unless the operation is a
+    product or a join, whose target is the partner graph.
     """
 
     id: str
     operation: str
-    hypothesis: Callable[[Graph, object], str | None]
+    hypothesis: Callable[[Graph, tuple], str | None]
     lower: Bound
     upper: Bound
 
@@ -55,29 +57,34 @@ class TheoremSpec:
         return self.operation in ops.PARTNER_OPS
 
 
-def _holds(g: Graph, target) -> None:
+def _holds(g: Graph, targets: tuple) -> None:
     return None
 
 
-def _triangle_free(g: Graph, target) -> str | None:
+def _triangle_free(g: Graph, targets: tuple) -> str | None:
     return None if is_triangle_free(g) else "graph not triangle-free"
 
 
 # is_tree raises on the empty graph; there the operation rejects the target
-def _tree_leaf_added(g: Graph, neighbors) -> str | None:
+def _tree_leaf_added(g: Graph, targets: tuple) -> str | None:
     if not (g.n and is_tree(g)):
         return "graph not a tree"
-    return None if len(neighbors) == 1 else "new vertex is not a leaf"
+    if any(len(neighbors) != 1 for neighbors in targets):
+        return "new vertex is not a leaf"
+    return None
 
 
-def _tree_leaf_deleted(g: Graph, v: int) -> str | None:
+def _tree_leaf_deleted(g: Graph, targets: tuple) -> str | None:
     if not (g.n and is_tree(g)):
         return "graph not a tree"
-    return None if g.degree(v) == 1 else f"vertex {v} is not a leaf"
+    for v in targets:
+        if g.degree(v) != 1:
+            return f"vertex {v} is not a leaf"
+    return None
 
 
-def _both_connected(g: Graph, h: Graph) -> str | None:
-    if g.n and h.n and is_connected(g) and is_connected(h):
+def _both_connected(g: Graph, partners: tuple) -> str | None:
+    if g.n and is_connected(g) and all(h.n and is_connected(h) for h in partners):
         return None
     return "operands not both connected"
 
@@ -126,7 +133,7 @@ def select_theorem(operation: str, g: Graph, target) -> tuple[TheoremSpec | None
     reason = f"unknown operation kind {operation!r}"
     for spec in THEOREMS.values():
         if spec.operation == operation:
-            reason = spec.hypothesis(g, target)
+            reason = spec.hypothesis(g, (target,))
             if reason is None:
                 return spec, None
     return None, reason
@@ -240,7 +247,7 @@ def check_bound(
         if partner is None:
             raise PreconditionError(f"{theorem_id} needs a partner graph")
         target = partner
-    reason = spec.hypothesis(g, target)
+    reason = spec.hypothesis(g, (target,))
     if reason is not None:
         raise PreconditionError(reason)
     return _evaluate(spec, g, [target], limits, seed, trial)[0][0]
@@ -410,7 +417,7 @@ def _run_trial(config: CampaignConfig, trial: int, limits: SearchLimits | None):
         policy = config.target_policy or _default_policy(spec.id)
         rng = random.Random(tseed ^ 0x5EED)
         targets = _candidate_targets(spec.id, g, rng, policy)
-    if not targets or any(spec.hypothesis(g, t) is not None for t in targets):
+    if not targets or spec.hypothesis(g, tuple(targets)) is not None:
         return None
     return _evaluate(spec, g, targets, limits, config.seed, trial)[0]
 

@@ -1,8 +1,8 @@
 """Command-line front end: solve, operate, construct, verify, oracle-check.
 
 Exit codes: 0 success, 1 invalid input or flags, 2 verification mismatch or
-bound violation, 3 solver budget exceeded.  The env var DMP_NODE_BUDGET
-overrides the solver's node budget.
+bound violation, 3 solver budget exceeded.  The env var DMP_NODE_BUDGET, a
+positive integer, overrides the solver's node budget.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ def _limits() -> SearchLimits:
         return SearchLimits()
     try:
         return SearchLimits(node_budget=int(raw))
-    except ValueError:
-        raise CliError(f"DMP_NODE_BUDGET must be an integer, got {raw!r}") from None
+    except ValueError:  # not an integer, or below 1
+        raise CliError(f"DMP_NODE_BUDGET must be a positive integer, got {raw!r}") from None
 
 
 def _read_graph(path: str, fmt: str) -> gr.Graph:

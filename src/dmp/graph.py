@@ -4,9 +4,13 @@ Vertices are 0..n-1, adjacency is a tuple of frozensets, so graphs are
 hashable values that can be shared freely between workers.  Two text
 formats are supported:
 
-* edge-list text: first line ``n m``, then m lines ``u v`` with u < v,
-  sorted lexicographically, single spaces, newline-terminated;
-* JSON: ``{"n": int, "edges": [[u, v], ...]}`` with the same normalization.
+* edge-list text: first line ``n m``, then m lines ``u v``, single spaces,
+  newline-terminated;
+* JSON: ``{"n": int, "edges": [[u, v], ...]}``.
+
+The writers emit the normal form, each edge as u < v and the edges sorted
+lexicographically.  The readers accept any orientation and order of the
+edges but reject a repeated edge.
 """
 
 from __future__ import annotations

@@ -12,11 +12,22 @@ such path.  Three routes are provided:
 
 Only non-decreasing paths are searched by the solver: reversing a
 non-increasing path yields a non-decreasing one, so the two maxima agree.
+
+``mp_exact`` is a depth-first search with an explicit stack, so path length
+is not limited by Python's recursion limit.  Its optimistic bound for a
+partial path is the path length plus the number of vertices off the path
+whose degree is at least deg(end).  Degrees never fall along the path, so
+the path vertices of degree >= deg(end) are exactly its last run of equal
+degrees, and the bound is ``lower + total_ge[deg(end)]``: ``lower`` counts
+the path vertices of degree below deg(end), ``total_ge[d]`` the vertices of
+degree >= d.  Each stack frame carries its own ``lower``, so the bound costs
+O(1) per node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 from .graph import Graph
 
@@ -29,6 +40,10 @@ class BudgetExceededError(RuntimeError):
 class SearchLimits:
     node_budget: int = 50_000_000
 
+    def __post_init__(self) -> None:
+        if self.node_budget < 1:
+            raise ValueError(f"node budget must be >= 1, got {self.node_budget}")
+
 
 @dataclass(frozen=True)
 class MonotonePath:
@@ -40,7 +55,7 @@ class MonotonePath:
 class MpResult:
     value: int
     witness: MonotonePath
-    method: str  # "branch-and-bound", "dag-fast-path" or "oracle"
+    method: str  # "branch-and-bound" (mp_exact) or "dag-fast-path"
 
 
 def is_degree_monotone(g: Graph, vertices: list[int] | tuple[int, ...]) -> bool:
@@ -64,69 +79,63 @@ def is_degree_monotone(g: Graph, vertices: list[int] | tuple[int, ...]) -> bool:
 def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
     """Exact mp(G) by branch and bound over non-decreasing paths.
 
-    Start vertices are tried in ascending (degree, id) order and extensions
-    in ascending id order, so the result is deterministic.  The optimistic
-    bound for a partial path is its length plus the number of unvisited
-    vertices whose degree is at least the endpoint's degree; a branch is cut
-    when that bound cannot beat the best path found so far.
-
-    Raises BudgetExceededError when the node budget runs out; a wrong value
-    is never returned.
+    Starts go in ascending (degree, id) order and extensions in ascending id
+    order, so the result is deterministic.  Raises BudgetExceededError when
+    the node budget runs out; a wrong value is never returned.
     """
     if g.n < 1:
         raise ValueError("mp is undefined for the empty graph")
-    if limits is None:
-        limits = SearchLimits()
-    n = g.n
+    budget = (limits or SearchLimits()).node_budget
     deg = [len(a) for a in g.adj]
 
     # neighbors that can extend a non-decreasing path, ascending id
-    up_nbrs = [sorted(w for w in g.adj[v] if deg[w] >= deg[v]) for v in range(n)]
+    up_nbrs = [sorted(w for w in g.adj[v] if deg[w] >= deg[v]) for v in range(g.n)]
 
-    max_deg = max(deg)
     # total_ge[d] = number of vertices with degree >= d
-    total_ge = [0] * (max_deg + 2)
+    counts = [0] * (max(deg) + 2)
     for d in deg:
-        total_ge[d] += 1
-    for d in range(max_deg - 1, -1, -1):
-        total_ge[d] += total_ge[d + 1]
+        counts[d] += 1
+    total_ge = list(accumulate(reversed(counts)))[::-1]
 
-    visited = [False] * n
-    visited_by_deg = [0] * (max_deg + 2)
+    on_path = [False] * g.n
     path: list[int] = []
-    best_len = 0
     best_path: tuple[int, ...] = ()
-    nodes = 0
-    budget = limits.node_budget
+    best_len = nodes = 0
 
-    def unvisited_ge(d: int) -> int:
-        return total_ge[d] - sum(visited_by_deg[d:])
-
-    def extend(v: int) -> None:
-        nonlocal best_len, best_path, nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"node budget {budget} exceeded at path length {len(path)}"
-            )
-        visited[v] = True
-        visited_by_deg[deg[v]] += 1
-        path.append(v)
-        if len(path) > best_len:
-            best_len = len(path)
-            best_path = tuple(path)
-        if len(path) + unvisited_ge(deg[v]) > best_len:
-            for w in up_nbrs[v]:
-                if not visited[w]:
-                    extend(w)
-        path.pop()
-        visited_by_deg[deg[v]] -= 1
-        visited[v] = False
-
-    for v in sorted(range(n), key=lambda x: (deg[x], x)):
-        # a start at v can reach at most total_ge[deg[v]] vertices
-        if total_ge[deg[v]] > best_len:
-            extend(v)
+    for w in sorted(range(g.n), key=lambda x: (deg[x], x)):
+        # a start at w can reach at most total_ge[deg[w]] vertices
+        if total_ge[deg[w]] <= best_len:
+            continue
+        stack, lower = [], 0  # one frame (up-neighbors left, lower) per path vertex
+        while True:  # push w, then find the next w or finish this start
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(
+                    f"node budget {budget} exceeded at path length {len(path)}"
+                )
+            on_path[w] = True
+            path.append(w)
+            if len(path) > best_len:
+                best_len = len(path)
+                best_path = tuple(path)
+            if lower + total_ge[deg[w]] > best_len:
+                stack.append((iter(up_nbrs[w]), lower))
+            else:
+                on_path[path.pop()] = False
+            while stack:  # next w: an up-neighbor off the path, or backtrack
+                nbrs, lower = stack[-1]
+                for w in nbrs:
+                    if not on_path[w]:
+                        break
+                else:
+                    stack.pop()
+                    on_path[path.pop()] = False
+                    continue
+                if deg[w] > deg[path[-1]]:
+                    lower = len(path)
+                break
+            else:
+                break
 
     return MpResult(
         value=best_len,

@@ -49,10 +49,19 @@ def test_mp_budget_exceeded_exits_3(tmp_path, monkeypatch):
     assert main(["mp", path]) == 3
 
 
-def test_mp_bad_budget_env_exits_1(tmp_path, monkeypatch):
-    monkeypatch.setenv("DMP_NODE_BUDGET", "lots")
+@pytest.mark.parametrize("raw", ["lots", "0", "-5"])
+def test_mp_bad_budget_env_exits_1(tmp_path, monkeypatch, capsys, raw):
+    monkeypatch.setenv("DMP_NODE_BUDGET", raw)
     path = _write(tmp_path, "p3.txt", path_graph(3))
     assert main(["mp", path]) == 1
+    err = capsys.readouterr().err
+    assert "DMP_NODE_BUDGET must be a positive integer" in err and repr(raw) in err
+
+
+def test_mp_long_path_has_no_recursion_limit(tmp_path, capsys):
+    path = _write(tmp_path, "p1200.txt", path_graph(1200))
+    assert main(["mp", path]) == 0
+    assert capsys.readouterr().out == "mp=1199\n"
 
 
 def test_unknown_flag_exits_1(tmp_path):

@@ -122,6 +122,20 @@ def test_parse_graph_text_sniffs_json():
 
 
 @pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_edge_list_text, "3 2\n1 2\n1 0\n"),
+        (parse_json_text, '{"n": 3, "edges": [[1, 2], [1, 0]]}'),
+    ],
+)
+def test_parse_accepts_any_edge_orientation_and_order(parse, text):
+    g = parse(text)
+    assert g == from_edge_list(3, [(0, 1), (1, 2)])
+    assert to_edge_list_text(g) == "3 2\n0 1\n1 2\n"
+    assert to_json_text(g) == '{"n": 3, "edges": [[0, 1], [1, 2]]}'
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "",

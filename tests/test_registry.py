@@ -95,7 +95,7 @@ def test_family_theorem_matches_its_operation(info):
 def test_k4_free_fails_the_triangle_free_hypothesis():
     inst = generate("k4_free", {"k": 2})
     spec = THEOREMS["contraction_triangle_free"]
-    assert spec.hypothesis(inst.graph, inst.target) is not None
+    assert spec.hypothesis(inst.graph, (inst.target,)) is not None
     assert select_theorem("contract", inst.graph, inst.target) == (
         None, "graph not triangle-free")
     with pytest.raises(PreconditionError):
@@ -129,6 +129,21 @@ def _count_solves(monkeypatch, *modules):
 
         monkeypatch.setattr(mod, "mp_exact", counted)
     return calls
+
+
+@pytest.mark.parametrize("tid", ["tree_leaf_add", "tree_leaf_delete"])
+def test_tree_hypothesis_checks_the_graph_once_per_trial(monkeypatch, tid):
+    calls = []
+    orig = bounds.is_tree
+
+    def counted(g):
+        calls.append(g)
+        return orig(g)
+
+    monkeypatch.setattr(bounds, "is_tree", counted)
+    _, summary = run_campaign(CampaignConfig(tid, RandomTree(40), trials=5, seed=3))
+    assert summary.skipped_trials == 0 and summary.records > summary.trials
+    assert len(calls) == summary.trials
 
 
 def test_campaign_solves_each_graph_once(monkeypatch):

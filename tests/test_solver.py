@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from dmp.bounds import Gnp, RandomTree, random_graph
 from dmp.graph import from_edge_list
+from dmp.operations import cartesian_product, join
 from dmp.constructions import (
     complete_bipartite_graph,
     complete_graph,
@@ -47,7 +49,7 @@ def test_is_degree_monotone_rejects_bad_input():
         is_degree_monotone(g, [0, 7])
 
 
-@pytest.mark.parametrize("n", [3, 5, 9])
+@pytest.mark.parametrize("n", [3, 5, 9, 1200, 5000])
 def test_mp_path(n):
     assert mp_exact(path_graph(n)).value == n - 1
 
@@ -125,6 +127,39 @@ def test_budget_exceeded_raises():
     g = cycle_graph(8)
     with pytest.raises(BudgetExceededError):
         mp_exact(g, SearchLimits(node_budget=5))
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_budget_below_one_rejected(budget):
+    with pytest.raises(ValueError, match="node budget must be >= 1"):
+        SearchLimits(node_budget=budget)
+
+
+# The fewest nodes mp_exact needs on fixed graphs: it succeeds with this
+# budget and runs out with one node less.  A change to the search order or
+# the bound moves these numbers, and must do so on purpose.
+NODE_COUNTS = {
+    "cycle_graph(8)": (lambda: cycle_graph(8), 9),
+    "g1_plus(k=4)": (lambda: generate("g1_plus", {"k": 4}).graph, 85),
+    "gnp(40,0.15)#7": (lambda: random_graph(Gnp(40, 0.15), 7), 7095),
+    "gnp(120,0.04)#11": (lambda: random_graph(Gnp(120, 0.04), 11), 18942),
+    "tree8#1 x tree7#2": (
+        lambda: cartesian_product(random_graph(RandomTree(8), 1),
+                                  random_graph(RandomTree(7), 2)),
+        421),
+    "gnp(7,0.4)#3 + gnp(7,0.4)#4": (
+        lambda: join(random_graph(Gnp(7, 0.4), 3), random_graph(Gnp(7, 0.4), 4)),
+        135),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_COUNTS))
+def test_node_count_is_pinned(name):
+    make, nodes = NODE_COUNTS[name]
+    g = make()
+    mp_exact(g, SearchLimits(node_budget=nodes))
+    with pytest.raises(BudgetExceededError):
+        mp_exact(g, SearchLimits(node_budget=nodes - 1))
 
 
 def test_oracle_small_cases():
