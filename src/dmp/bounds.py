@@ -437,6 +437,9 @@ def run_campaign(
     """Run all trials; deterministic for a fixed config, regardless of jobs."""
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
+    policy = config.target_policy
+    if isinstance(policy, tuple) and policy[1] < 1:
+        raise ValueError(f"sample must be >= 1, got {policy[1]}")
     if config.theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {config.theorem!r}")
     if config.theorem in ("tree_leaf_add", "tree_leaf_delete") and not isinstance(

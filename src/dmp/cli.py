@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import bounds, constructions, graph as gr, operations as ops
-from .solver import BudgetExceededError, SearchLimits, mp_exact, mp_oracle
+from .solver import ORACLE_MAX_N, BudgetExceededError, SearchLimits, mp_exact, mp_oracle
 
 
 class CliError(Exception):
@@ -114,6 +114,8 @@ def _cmd_construct(args) -> int:
         if val is not None:
             params[name] = val
     inst = constructions.generate(args.family, params)
+    if args.partner_out and not isinstance(inst.target, gr.Graph):
+        raise CliError(f"family {inst.family} has no partner graph")
     g = inst.graph
     tgt = bounds.describe_target(inst.operation, inst.target)
     pstr = " ".join(f"{k}={v}" for k, v in sorted(inst.params.items()))
@@ -125,8 +127,6 @@ def _cmd_construct(args) -> int:
     if args.out:
         _write_graph(g, args.out, args.json)
     if args.partner_out:
-        if not isinstance(inst.target, gr.Graph):
-            raise CliError(f"family {inst.family} has no partner graph")
         _write_graph(inst.target, args.partner_out, args.json)
     return 0
 
@@ -151,7 +151,7 @@ def _cmd_verify(args) -> int:
         model=_make_model(args),
         trials=args.trials,
         seed=args.seed,
-        target_policy=("sample", args.sample) if args.sample else None,
+        target_policy=("sample", args.sample) if args.sample is not None else None,
     )
     try:
         records, summary = bounds.run_campaign(config, _limits(), jobs=args.jobs)
@@ -187,13 +187,13 @@ def _oracle_catalog(max_n: int) -> list[gr.Graph]:
 
 
 def _cmd_oracle_check(args) -> int:
-    if args.max_n > 12:
-        raise CliError(f"--max-n must be at most 12, got {args.max_n}")
+    if not 1 <= args.max_n <= ORACLE_MAX_N:
+        raise CliError(f"--max-n must be in 1..{ORACLE_MAX_N}, got {args.max_n}")
     limits = _limits()
     graphs = _oracle_catalog(args.max_n)
     rng_n = min(args.max_n, 10)
     for t in range(args.trials):
-        seed = (args.seed * 1_000_003 + t) & 0x7FFFFFFFFFFFFFFF
+        seed = bounds._trial_seed(args.seed, t)
         n = 1 + (seed % rng_n)
         p = 0.1 + 0.8 * ((seed >> 8) % 100) / 100.0
         graphs.append(bounds.random_graph(bounds.Gnp(n, p), seed))
@@ -254,13 +254,13 @@ def main(argv: list[str] | None = None) -> int:
     p_ver.add_argument("--n2", type=int)
     p_ver.add_argument("--trials", type=int, default=200)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--sample", type=int, help="check only this many targets per trial")
+    p_ver.add_argument("--sample", type=int, help="check only this many targets per trial (>= 1)")
     p_ver.add_argument("--jobs", type=int, default=1)
     p_ver.add_argument("--report")
     p_ver.add_argument("--json", action="store_true")
 
     p_or = sub.add_parser("oracle-check", help="cross-check solver against the oracle")
-    p_or.add_argument("--max-n", type=int, default=12)
+    p_or.add_argument("--max-n", type=int, default=ORACLE_MAX_N)
     p_or.add_argument("--trials", type=int, default=500)
     p_or.add_argument("--seed", type=int, default=0)
 

@@ -31,6 +31,8 @@ from itertools import accumulate
 
 from .graph import Graph
 
+ORACLE_MAX_N = 12  # largest graph mp_oracle accepts by default: 2^n * n states
+
 
 class BudgetExceededError(RuntimeError):
     """Search node budget exhausted; the instance is too large, no value is returned."""
@@ -144,7 +146,7 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
     )
 
 
-def mp_oracle(g: Graph, max_n: int = 12) -> int:
+def mp_oracle(g: Graph, max_n: int = ORACLE_MAX_N) -> int:
     """mp(G) by exhaustive dynamic programming, independent of mp_exact.
 
     Every (visited set, endpoint) state reachable by a monotone path is

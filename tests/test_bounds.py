@@ -159,6 +159,15 @@ def test_campaign_rejects_zero_trials():
         run_campaign(CampaignConfig("edge_add", Gnp(5, 0.5), trials=0, seed=1))
 
 
+@pytest.mark.parametrize("j", [0, -1])
+def test_campaign_rejects_sample_below_one(j):
+    config = CampaignConfig(
+        "edge_add", Gnp(6, 0.4), trials=3, seed=1, target_policy=("sample", j)
+    )
+    with pytest.raises(ValueError, match="sample must be >= 1"):
+        run_campaign(config)
+
+
 def test_campaign_sampled_targets():
     config = CampaignConfig(
         "edge_add", Gnp(8, 0.3), trials=10, seed=2, target_policy=("sample", 2)

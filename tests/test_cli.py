@@ -139,9 +139,14 @@ def test_construct_partner_out(tmp_path, capsys):
     assert parse_edge_list_text(partner.read_text()).n == 4
 
 
-def test_construct_partner_out_rejected_without_partner(tmp_path):
-    assert main(["construct", "--family", "path", "--n", "4",
+def test_construct_partner_out_rejected_without_partner(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert main(["construct", "--family", "path", "--n", "4", "--out", str(out),
                  "--partner-out", str(tmp_path / "x.txt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "family path has no partner graph" in captured.err
+    assert not out.exists() and not (tmp_path / "x.txt").exists()
 
 
 def test_construct_unknown_family_exits_1():
@@ -203,3 +208,24 @@ def test_oracle_check_ok(capsys):
 
 def test_oracle_check_rejects_large_max_n():
     assert main(["oracle-check", "--max-n", "20"]) == 1
+
+
+@pytest.mark.parametrize("max_n", ["0", "-2", "13"])
+def test_oracle_check_rejects_max_n_outside_range(max_n, capsys):
+    assert main(["oracle-check", "--max-n", max_n, "--trials", "5"]) == 1
+    assert capsys.readouterr().err == f"error: --max-n must be in 1..12, got {max_n}\n"
+
+
+def test_oracle_check_full_range_graph_count(capsys):
+    assert main(["oracle-check", "--max-n", "12", "--trials", "500", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == "mismatches=0 graphs=581\n"
+
+
+@pytest.mark.parametrize("sample", ["0", "-1"])
+@pytest.mark.parametrize("theorem", ["edge_add", "vertex_add_general"])
+def test_verify_rejects_sample_below_one(theorem, sample, capsys):
+    assert main(["verify", "--theorem", theorem, "--model", "gnp", "--n", "6",
+                 "--p", "0.4", "--trials", "5", "--sample", sample]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: sample must be >= 1, got {sample}\n"

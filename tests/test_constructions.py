@@ -1,11 +1,15 @@
+import hashlib
 from itertools import combinations
 
 import pytest
 
-from dmp.graph import is_tree, is_triangle_free
+from dmp.graph import Graph, is_tree, is_triangle_free
 from dmp.constructions import apply_designated, generate, list_families
 from dmp.operations import add_edge, delete_edge
 from dmp.solver import mp_exact
+
+# sha256 of the whole catalog at min..min+6, see _catalog_digest
+CATALOG_DIGEST = "a5b18c1fc739dff31f61c5aced1bfa986e247dbb2bdd8600b793cdb31f0fb8ab"
 
 
 def test_catalog_has_23_families_in_stable_order():
@@ -124,3 +128,26 @@ def test_tree_blowup_target_is_non_leaf_addition():
     assert len(inst.target) == 4  # joins every odd spine position, not a leaf add
     assert is_tree(inst.graph)
     assert not is_tree(apply_designated(inst))
+
+
+def _catalog_digest() -> str:
+    """sha256 over every family's metadata and instances at min..min+6."""
+    h = hashlib.sha256()
+    for info in list_families():
+        h.update(repr((info.name, info.params, info.theorem, info.tight, info.note)).encode())
+        for off in range(7):
+            inst = generate(info.name, {name: lo + off for name, lo in info.params})
+            target = inst.target
+            if isinstance(target, Graph):
+                target = (target.n, target.edges())
+            h.update(repr((
+                inst.family, sorted(inst.params.items()), inst.graph.n, inst.graph.edges(),
+                inst.operation, target, inst.claimed_mp_before, inst.claimed_mp_after,
+            )).encode())
+    return h.hexdigest()
+
+
+def test_catalog_digest_is_pinned():
+    # any change to a family's graph, target, claims or metadata moves the
+    # digest; record a new one only on purpose, and say so in CHANGES.md
+    assert _catalog_digest() == CATALOG_DIGEST

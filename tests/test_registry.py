@@ -1,6 +1,8 @@
 """Guards for the single operation dispatch and the single theorem registry."""
 
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -227,3 +229,12 @@ def test_verify_rejects_negative_jobs_with_exit_1(capsys):
     assert cli.main(["verify", "--theorem", "edge_add", "--model", "gnp", "--n", "5",
                      "--p", "0.5", "--trials", "3", "--jobs", "-4"]) == 1
     assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+def test_readme_lists_families_and_theorems_in_order():
+    # the README is the last hand-kept copy of both orders
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("Families, in table order:", 1)[1].split(".\n", 1)[0]
+    assert re.findall(r"`(\w+)`", listed) == [f.name for f in list_families()]
+    table_ids = re.findall(r"^\| `(\w+)`", readme, flags=re.MULTILINE)
+    assert tuple(table_ids) == THEOREM_IDS
