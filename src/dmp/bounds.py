@@ -5,6 +5,11 @@ operation.  Bounds are evaluated in exact rational arithmetic: a check
 passes iff lower <= mp_after <= upper as Fractions, and tightness flags
 record equality with either end.  All bound violations indicate an
 implementation defect, since the inequalities are proven.
+
+A campaign draws graphs from a random model, one row of ``MODELS`` per
+model, and checks in each graph the targets its theorem row's ``targets``
+field lists.  Report columns are the fields of BoundCheckRecord and
+CampaignSummary.
 """
 
 from __future__ import annotations
@@ -12,23 +17,19 @@ from __future__ import annotations
 import os
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
+from typing import ClassVar
 
 from .graph import Graph, from_edge_list, is_connected, is_tree, is_triangle_free
 from . import operations as ops
 from .solver import SearchLimits, mp_exact
 
-CSV_HEADER = "theorem,seed,trial,n,m,target,mp_before,mp_after,lower,upper,pass,tight_low,tight_high"
-
 
 class PreconditionError(ValueError):
     """The theorem's precondition does not hold for the given graph/target."""
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 Bound = Callable[[int, int, int | None, int | None], Fraction]
@@ -43,7 +44,10 @@ class TheoremSpec:
     to all; checks of ``g`` alone run once, however many targets there are.
     ``lower`` and ``upper`` take (mp_before, n_before, mp_partner,
     n_partner); the partner values are None unless the operation is a
-    product or a join, whose target is the partner graph.
+    product or a join, whose target is the partner graph.  ``targets(g, rng,
+    sample)`` lists the targets one campaign trial checks in ``g``: all of
+    them, or ``sample`` drawn with ``rng``; it is None for a product or a
+    join, whose one target is a partner graph drawn from the model.
     """
 
     id: str
@@ -51,6 +55,7 @@ class TheoremSpec:
     hypothesis: Callable[[Graph, tuple], str | None]
     lower: Bound
     upper: Bound
+    targets: Callable[[Graph, random.Random, int | None], list] | None
 
     @property
     def needs_partner(self) -> bool:
@@ -89,40 +94,66 @@ def _both_connected(g: Graph, partners: tuple) -> str | None:
     return "operands not both connected"
 
 
+def _each(domain: Callable[[Graph], list]):
+    """Targets: every one in domain(g), or ``sample`` of them in domain order."""
+    def targets(g: Graph, rng: random.Random, sample: int | None) -> list:
+        cands = domain(g)
+        if sample is None:
+            return cands
+        return [cands[i] for i in sorted(rng.sample(range(len(cands)), min(sample, len(cands))))]
+    return targets
+
+
+def _neighbor_sets(g: Graph, rng: random.Random, sample: int | None) -> list:
+    """``sample or 1`` random neighbor sets of 1..8 vertices: all subsets are too many."""
+    sets = []
+    for _ in range(sample or 1):
+        size = rng.randint(1, min(g.n, 8))
+        sets.append(tuple(sorted(rng.sample(range(g.n), size))))
+    return sets
+
+
+def _non_edges(g: Graph) -> list:
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+
+
 # One row per theorem.  For an operation, the first row whose hypothesis
 # holds is the most specific theorem, so the tree rows precede the general
 # vertex rows.
 THEOREMS: dict[str, TheoremSpec] = {spec.id: spec for spec in (
     TheoremSpec("edge_add", "add-edge", _holds,
                 lambda mp, n, p, np_: Fraction(mp + 1, 3),
-                lambda mp, n, p, np_: Fraction(3 * mp)),
+                lambda mp, n, p, np_: Fraction(3 * mp), _each(_non_edges)),
     TheoremSpec("edge_delete", "delete-edge", _holds,
                 lambda mp, n, p, np_: Fraction(mp, 3),
-                lambda mp, n, p, np_: Fraction(3 * mp - 1)),
+                lambda mp, n, p, np_: Fraction(3 * mp - 1), _each(Graph.edges)),
     TheoremSpec("subdivision", "subdivide", _holds,
-                lambda mp, n, p, np_: Fraction(_ceil_div(mp + 1, 2)),
-                lambda mp, n, p, np_: Fraction(mp + 1)),
+                lambda mp, n, p, np_: Fraction((mp + 2) // 2),
+                lambda mp, n, p, np_: Fraction(mp + 1), _each(Graph.edges)),
     TheoremSpec("contraction_triangle_free", "contract", _triangle_free,
                 lambda mp, n, p, np_: Fraction(mp, 3),
-                lambda mp, n, p, np_: Fraction(2 * mp)),
+                lambda mp, n, p, np_: Fraction(2 * mp), _each(Graph.edges)),
     TheoremSpec("tree_leaf_add", "add-vertex", _tree_leaf_added,
                 lambda mp, n, p, np_: Fraction(mp, 2),
-                lambda mp, n, p, np_: Fraction(2 * mp)),
+                lambda mp, n, p, np_: Fraction(2 * mp),
+                _each(lambda g: [(v,) for v in range(g.n)])),
     TheoremSpec("tree_leaf_delete", "delete-vertex", _tree_leaf_deleted,
                 lambda mp, n, p, np_: Fraction(mp, 2),
-                lambda mp, n, p, np_: Fraction(2 * mp)),
+                lambda mp, n, p, np_: Fraction(2 * mp),
+                _each(lambda g: [v for v in range(g.n) if g.degree(v) == 1])),
     TheoremSpec("vertex_add_general", "add-vertex", _holds,
                 lambda mp, n, p, np_: Fraction(2),
-                lambda mp, n, p, np_: Fraction(n + 1)),
+                lambda mp, n, p, np_: Fraction(n + 1), _neighbor_sets),
     TheoremSpec("vertex_delete_general", "delete-vertex", _holds,
                 lambda mp, n, p, np_: Fraction(1),
-                lambda mp, n, p, np_: Fraction(n - 1)),
+                lambda mp, n, p, np_: Fraction(n - 1),
+                _each(lambda g: list(range(g.n)) if g.n >= 2 else [])),
     TheoremSpec("cartesian_product", "cartesian-product", _both_connected,
                 lambda mp, n, p, np_: Fraction(mp + p - 1),
-                lambda mp, n, p, np_: Fraction(mp * p)),
+                lambda mp, n, p, np_: Fraction(mp * p), None),
     TheoremSpec("join", "join", _holds,
                 lambda mp, n, p, np_: Fraction(mp + p),
-                lambda mp, n, p, np_: Fraction(n + np_)),
+                lambda mp, n, p, np_: Fraction(n + np_), None),
 )}
 
 THEOREM_IDS = tuple(THEOREMS)
@@ -151,30 +182,31 @@ class BoundCheckRecord:
     mp_after: int
     lower: Fraction
     upper: Fraction
-    passed: bool
+    passed: bool = field(metadata={"column": "pass"})
     tight_low: bool
     tight_high: bool
 
     def csv_row(self) -> str:
-        cells = [
-            self.theorem, str(self.seed), str(self.trial), str(self.n), str(self.m),
-            self.target, str(self.mp_before), str(self.mp_after),
-            str(self.lower), str(self.upper),
-            "true" if self.passed else "false",
-            "true" if self.tight_low else "false",
-            "true" if self.tight_high else "false",
-        ]
-        return ",".join(cells)
+        values = [getattr(self, name) for name, _ in _columns(BoundCheckRecord)]
+        return ",".join([str(v).lower() if isinstance(v, bool) else str(v) for v in values])
 
     def json_obj(self) -> dict:
-        return {
-            "theorem": self.theorem, "seed": self.seed, "trial": self.trial,
-            "n": self.n, "m": self.m, "target": self.target,
-            "mp_before": self.mp_before, "mp_after": self.mp_after,
-            "lower": str(self.lower), "upper": str(self.upper),
-            "pass": self.passed, "tight_low": self.tight_low,
-            "tight_high": self.tight_high,
-        }
+        return _report_fields(self)
+
+
+@cache
+def _columns(cls) -> tuple[tuple[str, str], ...]:
+    """(field name, report column) for each field of a record or summary class."""
+    return tuple((f.name, f.metadata.get("column", f.name)) for f in fields(cls))
+
+
+def _report_fields(obj) -> dict:
+    """A record or summary by report column, with Fractions as strings."""
+    values = {column: getattr(obj, name) for name, column in _columns(type(obj))}
+    return {k: str(v) if isinstance(v, Fraction) else v for k, v in values.items()}
+
+
+CSV_HEADER = ",".join(column for _, column in _columns(BoundCheckRecord))
 
 
 def describe_target(operation: str, target) -> str:
@@ -257,50 +289,41 @@ def check_bound(
 
 
 @dataclass(frozen=True)
-class Gnp:
-    n: int
-    p: float
+class Model:
+    """A random graph model; ``draw(rng)`` validates the fields and draws one graph."""
+
+    name: ClassVar[str]
 
     def describe(self) -> str:
-        return f"gnp(n={self.n};p={self.p})"
+        values = ";".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        return f"{self.name}({values})"
 
 
 @dataclass(frozen=True)
-class RandomTree:
+class Gnp(Model):
+    name = "gnp"
     n: int
-
-    def describe(self) -> str:
-        return f"random_tree(n={self.n})"
-
-
-@dataclass(frozen=True)
-class RandomBipartite:
-    n1: int
-    n2: int
     p: float
 
-    def describe(self) -> str:
-        return f"random_bipartite(n1={self.n1};n2={self.n2};p={self.p})"
-
-
-Model = Gnp | RandomTree | RandomBipartite
-
-
-def random_graph(model: Model, seed: int) -> Graph:
-    """Draw one graph from the model, deterministically for a fixed seed."""
-    rng = random.Random(seed)
-    if isinstance(model, Gnp):
-        if model.n < 1 or not 0.0 <= model.p <= 1.0:
-            raise ValueError(f"bad gnp parameters {model}")
+    def draw(self, rng: random.Random) -> Graph:
+        if self.n < 1 or not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"bad gnp parameters {self}")
         edges = [
             (u, v)
-            for u in range(model.n)
-            for v in range(u + 1, model.n)
-            if rng.random() < model.p
+            for u in range(self.n)
+            for v in range(u + 1, self.n)
+            if rng.random() < self.p
         ]
-        return from_edge_list(model.n, edges)
-    if isinstance(model, RandomTree):
-        n = model.n
+        return from_edge_list(self.n, edges)
+
+
+@dataclass(frozen=True)
+class RandomTree(Model):
+    name = "random_tree"
+    n: int
+
+    def draw(self, rng: random.Random) -> Graph:
+        n = self.n
         if n < 1:
             raise ValueError(f"bad tree size {n}")
         if n == 1:
@@ -324,10 +347,19 @@ def random_graph(model: Model, seed: int) -> Graph:
         u, v = heappop(leaves), heappop(leaves)
         edges.append((min(u, v), max(u, v)))
         return from_edge_list(n, edges)
-    if isinstance(model, RandomBipartite):
-        n1, n2, p = model.n1, model.n2, model.p
+
+
+@dataclass(frozen=True)
+class RandomBipartite(Model):
+    name = "random_bipartite"
+    n1: int
+    n2: int
+    p: float
+
+    def draw(self, rng: random.Random) -> Graph:
+        n1, n2, p = self.n1, self.n2, self.p
         if n1 < 1 or n2 < 1 or not 0.0 <= p <= 1.0:
-            raise ValueError(f"bad bipartite parameters {model}")
+            raise ValueError(f"bad bipartite parameters {self}")
         edges = [
             (u, n1 + w)
             for u in range(n1)
@@ -335,7 +367,16 @@ def random_graph(model: Model, seed: int) -> Graph:
             if rng.random() < p
         ]
         return from_edge_list(n1 + n2, edges)
-    raise ValueError(f"unknown model {model!r}")
+
+
+MODELS: dict[str, type[Model]] = {cls.name: cls for cls in (Gnp, RandomTree, RandomBipartite)}
+
+
+def random_graph(model: Model, seed: int) -> Graph:
+    """Draw one graph from the model, deterministically for a fixed seed."""
+    if not isinstance(model, Model):
+        raise ValueError(f"unknown model {model!r}")
+    return model.draw(random.Random(seed))
 
 
 @dataclass(frozen=True)
@@ -344,9 +385,9 @@ class CampaignConfig:
     model: Model
     trials: int
     seed: int
-    # "all" checks every valid target per trial; ("sample", j) checks j
-    # seeded random targets; None picks a per-theorem default
-    target_policy: str | tuple[str, int] | None = None
+    # None checks the theorem's targets (see TheoremSpec.targets); ("sample",
+    # j) checks j of them, drawn with a per-trial seed
+    target_policy: tuple[str, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -367,56 +408,16 @@ def _trial_seed(seed: int, trial: int) -> int:
     return (seed * 1_000_003 + trial) & 0x7FFFFFFFFFFFFFFF
 
 
-def _default_policy(theorem_id: str) -> str | tuple[str, int]:
-    if theorem_id == "vertex_add_general":
-        return ("sample", 1)  # subsets are exponential, sample per trial
-    return "all"
-
-
-def _candidate_targets(theorem_id: str, g: Graph, rng: random.Random, policy):
-    """Deterministic list of targets for one trial; empty list means skip."""
-    if theorem_id == "edge_add":
-        cands = [
-            (u, v)
-            for u in range(g.n)
-            for v in range(u + 1, g.n)
-            if not g.has_edge(u, v)
-        ]
-    elif theorem_id in ("edge_delete", "subdivision", "contraction_triangle_free"):
-        cands = g.edges()
-    elif theorem_id == "vertex_delete_general":
-        cands = list(range(g.n)) if g.n >= 2 else []
-    elif theorem_id == "tree_leaf_add":
-        cands = [(v,) for v in range(g.n)]
-    elif theorem_id == "tree_leaf_delete":
-        cands = [v for v in range(g.n) if g.degree(v) == 1] if g.n >= 2 else []
-    elif theorem_id == "vertex_add_general":
-        size_cap = min(g.n, 8)
-        cands = []
-        j = policy[1] if isinstance(policy, tuple) else 1
-        for _ in range(j):
-            size = rng.randint(1, size_cap)
-            cands.append(tuple(sorted(rng.sample(range(g.n), size))))
-        return cands
-    else:
-        raise AssertionError(theorem_id)
-    if isinstance(policy, tuple):
-        j = min(policy[1], len(cands))
-        return [cands[i] for i in sorted(rng.sample(range(len(cands)), j))]
-    return cands
-
-
 def _run_trial(config: CampaignConfig, trial: int, limits: SearchLimits | None):
     """Records for one trial, or None when the trial is skipped."""
     spec = THEOREMS[config.theorem]
     tseed = _trial_seed(config.seed, trial)
     g = random_graph(config.model, tseed)
-    if spec.needs_partner:
+    if spec.targets is None:
         targets = [random_graph(config.model, tseed + 1)]
     else:
-        policy = config.target_policy or _default_policy(spec.id)
-        rng = random.Random(tseed ^ 0x5EED)
-        targets = _candidate_targets(spec.id, g, rng, policy)
+        sample = config.target_policy[1] if config.target_policy else None
+        targets = spec.targets(g, random.Random(tseed ^ 0x5EED), sample)
     if not targets or spec.hypothesis(g, tuple(targets)) is not None:
         return None
     return _evaluate(spec, g, targets, limits, config.seed, trial)[0]
@@ -438,7 +439,9 @@ def run_campaign(
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
     policy = config.target_policy
-    if isinstance(policy, tuple) and policy[1] < 1:
+    if policy is not None and (len(policy) != 2 or policy[0] != "sample"):
+        raise ValueError(f"target_policy must be None or ('sample', j), got {policy!r}")
+    if policy is not None and policy[1] < 1:
         raise ValueError(f"sample must be >= 1, got {policy[1]}")
     if config.theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {config.theorem!r}")
@@ -499,23 +502,5 @@ def records_to_csv(records: list[BoundCheckRecord]) -> str:
 def records_to_json(records: list[BoundCheckRecord], summary: CampaignSummary) -> str:
     import json
 
-    obj = {
-        "records": [r.json_obj() for r in records],
-        "summary": {
-            "theorem": summary.theorem,
-            "trials": summary.trials,
-            "records": summary.records,
-            "passes": summary.passes,
-            "failures": summary.failures,
-            "skipped_trials": summary.skipped_trials,
-            "tight_low": summary.tight_low,
-            "tight_high": summary.tight_high,
-            "min_lower_slack": (
-                str(summary.min_lower_slack) if summary.min_lower_slack is not None else None
-            ),
-            "min_upper_slack": (
-                str(summary.min_upper_slack) if summary.min_upper_slack is not None else None
-            ),
-        },
-    }
+    obj = {"records": [r.json_obj() for r in records], "summary": _report_fields(summary)}
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

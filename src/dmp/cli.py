@@ -10,10 +10,24 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import bounds, constructions, graph as gr, operations as ops
 from .solver import ORACLE_MAX_N, BudgetExceededError, SearchLimits, mp_exact, mp_oracle
+
+
+# --op names: the operation kinds, with cartesian-product spelled "cartesian"
+_OP_NAMES = {("cartesian" if k == "cartesian-product" else k): k for k in ops.OP_KINDS}
+# construct flags: the catalog's parameter names, in order of first appearance
+_CATALOG_PARAMS = tuple(dict.fromkeys(
+    name for info in constructions.list_families() for name, _ in info.params))
+# verify model flags: every model's field names, in order of first appearance, with
+# their types (bounds postpones annotations, so a field's type is its name)
+_MODEL_FLAGS = {
+    f.name: {"int": int, "float": float}[f.type]
+    for cls in bounds.MODELS.values() for f in fields(cls)
+}
 
 
 class CliError(Exception):
@@ -90,7 +104,7 @@ def _op_target(args, op: str):
 
 def _cmd_op(args) -> int:
     g = _read_graph(args.input, args.format)
-    op = {"cartesian": "cartesian-product"}.get(args.op, args.op)
+    op = _OP_NAMES[args.op]
     limits = _limits()
     target = _op_target(args, op)
     spec, reason = bounds.select_theorem(op, g, target)
@@ -108,11 +122,7 @@ def _cmd_op(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    params = {}
-    for name in ("n", "m", "k", "t"):
-        val = getattr(args, name)
-        if val is not None:
-            params[name] = val
+    params = {n: getattr(args, n) for n in _CATALOG_PARAMS if getattr(args, n) is not None}
     inst = constructions.generate(args.family, params)
     if args.partner_out and not isinstance(inst.target, gr.Graph):
         raise CliError(f"family {inst.family} has no partner graph")
@@ -132,17 +142,13 @@ def _cmd_construct(args) -> int:
 
 
 def _make_model(args) -> bounds.Model:
-    if args.model == "gnp":
-        if args.n is None or args.p is None:
-            raise CliError("gnp model needs --n and --p")
-        return bounds.Gnp(args.n, args.p)
-    if args.model == "random_tree":
-        if args.n is None:
-            raise CliError("random_tree model needs --n")
-        return bounds.RandomTree(args.n)
-    if args.n1 is None or args.n2 is None or args.p is None:
-        raise CliError("random_bipartite model needs --n1, --n2 and --p")
-    return bounds.RandomBipartite(args.n1, args.n2, args.p)
+    cls = bounds.MODELS[args.model]
+    values = [getattr(args, f.name) for f in fields(cls)]
+    if None in values:
+        flags = [f"--{f.name}" for f in fields(cls)]
+        listed = flags[0] if len(flags) == 1 else ", ".join(flags[:-1]) + " and " + flags[-1]
+        raise CliError(f"{args.model} model needs {listed}")
+    return cls(*values)
 
 
 def _cmd_verify(args) -> int:
@@ -189,6 +195,8 @@ def _oracle_catalog(max_n: int) -> list[gr.Graph]:
 def _cmd_oracle_check(args) -> int:
     if not 1 <= args.max_n <= ORACLE_MAX_N:
         raise CliError(f"--max-n must be in 1..{ORACLE_MAX_N}, got {args.max_n}")
+    if args.trials < 0:
+        raise CliError(f"--trials must be >= 0, got {args.trials}")
     limits = _limits()
     graphs = _oracle_catalog(args.max_n)
     rng_n = min(args.max_n, 10)
@@ -216,14 +224,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_op = sub.add_parser("op", help="apply an operation and report mp before/after")
     p_op.add_argument("input")
-    p_op.add_argument(
-        "--op",
-        required=True,
-        choices=[
-            "add-edge", "delete-edge", "subdivide", "contract",
-            "add-vertex", "delete-vertex", "cartesian", "join",
-        ],
-    )
+    p_op.add_argument("--op", required=True, choices=list(_OP_NAMES))
     p_op.add_argument("--format", choices=["auto", "edgelist", "json"], default="auto")
     p_op.add_argument("--u", type=int)
     p_op.add_argument("--v", type=int)
@@ -235,23 +236,17 @@ def main(argv: list[str] | None = None) -> int:
 
     p_con = sub.add_parser("construct", help="emit a catalog construction")
     p_con.add_argument("--family", required=True)
-    p_con.add_argument("--n", type=int)
-    p_con.add_argument("--m", type=int)
-    p_con.add_argument("--k", type=int)
-    p_con.add_argument("--t", type=int)
+    for name in _CATALOG_PARAMS:
+        p_con.add_argument(f"--{name}", type=int)
     p_con.add_argument("--out")
     p_con.add_argument("--partner-out")
     p_con.add_argument("--json", action="store_true")
 
     p_ver = sub.add_parser("verify", help="run a randomized bound campaign")
     p_ver.add_argument("--theorem", required=True, choices=list(bounds.THEOREM_IDS))
-    p_ver.add_argument(
-        "--model", required=True, choices=["gnp", "random_tree", "random_bipartite"]
-    )
-    p_ver.add_argument("--n", type=int)
-    p_ver.add_argument("--p", type=float)
-    p_ver.add_argument("--n1", type=int)
-    p_ver.add_argument("--n2", type=int)
+    p_ver.add_argument("--model", required=True, choices=list(bounds.MODELS))
+    for name, type_ in _MODEL_FLAGS.items():
+        p_ver.add_argument(f"--{name}", type=type_)
     p_ver.add_argument("--trials", type=int, default=200)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--sample", type=int, help="check only this many targets per trial (>= 1)")

@@ -10,12 +10,14 @@ formats are supported:
 
 The writers emit the normal form, each edge as u < v and the edges sorted
 lexicographically.  The readers accept any orientation and order of the
-edges but reject a repeated edge.
+edges but reject a repeated edge, and every number must be an integer
+written as an optional '-' and ASCII digits.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 
@@ -117,6 +119,18 @@ def _from_parsed_edges(n: int, edges: list[tuple[int, int]]) -> Graph:
     return g
 
 
+# two whitespace-separated integers, each an optional '-' and ASCII digits: int()
+# alone would also take '_', '+' and non-ASCII digits
+_PAIR = re.compile(r"\s*(-?[0-9]+)\s+(-?[0-9]+)\s*")
+
+
+def _pair(line: str, expected: str) -> tuple[int, int]:
+    match = _PAIR.fullmatch(line)
+    if match is None:
+        raise ValueError(f"{expected}, got {line!r}")
+    return int(match[1]), int(match[2])
+
+
 def to_edge_list_text(g: Graph) -> str:
     edges = g.edges()
     lines = [f"{g.n} {len(edges)}"]
@@ -130,26 +144,10 @@ def parse_edge_list_text(text: str) -> Graph:
         lines.pop()
     if not lines:
         raise ValueError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"header must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise ValueError(f"header must be 'n m', got {lines[0]!r}") from None
+    n, m = _pair(lines[0], "header must be 'n m'")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"edge line must be 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"edge line must be 'u v', got {line!r}") from None
-        edges.append((u, v))
-    return _from_parsed_edges(n, edges)
+    return _from_parsed_edges(n, [_pair(line, "edge line must be 'u v'") for line in lines[1:]])
 
 
 def to_json_text(g: Graph) -> str:
@@ -165,11 +163,12 @@ def parse_json_text(text: str) -> Graph:
         raise ValueError('JSON graph must be {"n": int, "edges": [[u, v], ...]}')
     n = obj["n"]
     edges = obj["edges"]
-    if not isinstance(n, int) or not isinstance(edges, list):
+    # type() and not isinstance(): JSON true and false load as bools, a subclass of int
+    if type(n) is not int or not isinstance(edges, list):
         raise ValueError('JSON graph must be {"n": int, "edges": [[u, v], ...]}')
     pairs = []
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
             raise ValueError(f"bad edge entry {e!r}")
         pairs.append((e[0], e[1]))
     return _from_parsed_edges(n, pairs)

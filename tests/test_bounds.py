@@ -168,6 +168,13 @@ def test_campaign_rejects_sample_below_one(j):
         run_campaign(config)
 
 
+@pytest.mark.parametrize("policy", ["all", ("every", 2)])
+def test_campaign_rejects_unknown_target_policy(policy):
+    config = CampaignConfig("edge_add", Gnp(6, 0.4), 3, 1, policy)
+    with pytest.raises(ValueError, match="target_policy"):
+        run_campaign(config)
+
+
 def test_campaign_sampled_targets():
     config = CampaignConfig(
         "edge_add", Gnp(8, 0.3), trials=10, seed=2, target_policy=("sample", 2)

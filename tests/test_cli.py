@@ -201,6 +201,18 @@ def test_verify_missing_model_params_exits_1():
                  "--trials", "5"]) == 1
 
 
+@pytest.mark.parametrize("model, message", [
+    ("gnp", "gnp model needs --n and --p"),
+    ("random_tree", "random_tree model needs --n"),
+    ("random_bipartite", "random_bipartite model needs --n1, --n2 and --p"),
+])
+def test_verify_names_the_missing_model_flags(model, message, capsys):
+    assert main(["verify", "--theorem", "edge_add", "--model", model, "--trials", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_oracle_check_ok(capsys):
     assert main(["oracle-check", "--max-n", "8", "--trials", "50", "--seed", "7"]) == 0
     assert capsys.readouterr().out.startswith("mismatches=0")
@@ -219,6 +231,18 @@ def test_oracle_check_rejects_max_n_outside_range(max_n, capsys):
 def test_oracle_check_full_range_graph_count(capsys):
     assert main(["oracle-check", "--max-n", "12", "--trials", "500", "--seed", "7"]) == 0
     assert capsys.readouterr().out == "mismatches=0 graphs=581\n"
+
+
+def test_oracle_check_rejects_negative_trials(capsys):
+    assert main(["oracle-check", "--max-n", "12", "--trials", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --trials must be >= 0, got -5\n"
+
+
+def test_oracle_check_zero_trials_checks_only_the_catalog(capsys):
+    assert main(["oracle-check", "--max-n", "12", "--trials", "0"]) == 0
+    assert capsys.readouterr().out == "mismatches=0 graphs=81\n"
 
 
 @pytest.mark.parametrize("sample", ["0", "-1"])

@@ -145,6 +145,10 @@ def test_parse_accepts_any_edge_orientation_and_order(parse, text):
         "3 1\nx y\n",
         "a b\n0 1\n",
         "2 2\n0 1\n1 0\n",
+        "1_0 1\n0 9\n",
+        "11 1\n0 1_0\n",
+        "3 1\n+0 1\n",
+        "3 1\n0 \u0661\n",
     ],
 )
 def test_parse_edge_list_rejects_malformed(text):
@@ -154,7 +158,14 @@ def test_parse_edge_list_rejects_malformed(text):
 
 @pytest.mark.parametrize(
     "text",
-    ["[]", '{"n": 2}', '{"n": 2, "edges": [[0]]}', '{"n": 2, "edges": [[0, 1], [0, 1]]}'],
+    [
+        "[]",
+        '{"n": 2}',
+        '{"n": 2, "edges": [[0]]}',
+        '{"n": 2, "edges": [[0, 1], [0, 1]]}',
+        '{"n": true, "edges": []}',
+        '{"n": 2, "edges": [[false, true]]}',
+    ],
 )
 def test_parse_json_rejects_malformed(text):
     with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from dmp.bounds import (
     THEOREM_IDS,
     check_bound,
     records_to_csv,
+    records_to_json,
     run_campaign,
     select_theorem,
 )
@@ -63,6 +64,40 @@ def test_golden_report_digest(tid):
     model, digest = GOLDEN_CSV_SHA256[tid]
     records, _ = run_campaign(CampaignConfig(tid, model, trials=10, seed=42))
     assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == digest
+
+
+# sha256 of records_to_json on the same campaigns
+GOLDEN_JSON_SHA256 = {
+    "edge_add": "198bf8bf01c48f8943e9a398f2becf4a99b1cb9df5376d40dee72beff57a2f47",
+    "edge_delete": "42f7201a9f12d3aca818e0d5af70cfb8c3b986dfc1dbf151de1a7cca10ca0515",
+    "subdivision": "1748b9f4fbe37c46b54224e049ef7b63bdd55e2dd1483b4c5d4ce559b0ca85ac",
+    "contraction_triangle_free":
+        "837c85fdbb86f29c304c5016fb81c466c3fe3e3ac88207f67f7312e1d7eae4cc",
+    "vertex_add_general": "42c6502e1e2e32126b5403bd9bf667947f17fb895030f2b9249cd80e2dd90190",
+    "vertex_delete_general": "9310616e214ae2d2622fc5435f690bf93e322aeb64f94906e4d94cc9c8bed080",
+    "tree_leaf_add": "512532b16c5c62d43ad3b5d46793a17cb190dda57304118c886d356fce02ef05",
+    "tree_leaf_delete": "a221f3061f30523f03cc0e2c4fb2f104ecb23e186edc24204dad5e0d45082044",
+    "cartesian_product": "cf5a21ca74364ff0402ae629a39c5ef9e7e9f8026b97f2794149b8b8d2a8e8cc",
+    "join": "9a6c2df8597b190ac07eeafdc2b30255ba414f88dc3db16b4453d217b9baee29",
+}
+
+# sha256 of every theorem's CSV, in GOLDEN_CSV_SHA256 order, under ("sample", 3)
+GOLDEN_SAMPLED_CSV_SHA256 = "62f2080156dc428e7af2494781cac80d74a71ae0310d3410ea3d3fc843812e93"
+
+
+@pytest.mark.parametrize("tid", sorted(GOLDEN_JSON_SHA256))
+def test_golden_json_report_digest(tid):
+    model, _ = GOLDEN_CSV_SHA256[tid]
+    report = records_to_json(*run_campaign(CampaignConfig(tid, model, trials=10, seed=42)))
+    assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN_JSON_SHA256[tid]
+
+
+def test_golden_sampled_report_digest():
+    reports = "".join(
+        records_to_csv(run_campaign(CampaignConfig(tid, model, 10, 42, ("sample", 3)))[0])
+        for tid, (model, _) in GOLDEN_CSV_SHA256.items()
+    )
+    assert hashlib.sha256(reports.encode()).hexdigest() == GOLDEN_SAMPLED_CSV_SHA256
 
 
 def test_every_operation_has_a_theorem_and_a_dispatch():
