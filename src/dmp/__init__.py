@@ -21,7 +21,6 @@ from .solver import (
     MpResult,
     SearchLimits,
     is_degree_monotone,
-    mp_dag_fast_path,
     mp_exact,
     mp_oracle,
 )

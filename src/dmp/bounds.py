@@ -266,19 +266,21 @@ def check_bound(
     theorem_id: str,
     g: Graph,
     target,
-    partner: Graph | None = None,
     limits: SearchLimits | None = None,
     seed: int = 0,
     trial: int = 0,
 ) -> BoundCheckRecord:
-    """Verify one theorem instance with exact mp values and tightness flags."""
+    """Verify one theorem instance with exact mp values and tightness flags.
+
+    ``target`` is what ``operations.apply`` takes for the theorem's
+    operation: an edge, a vertex, a neighbor tuple, or, for
+    ``cartesian_product`` and ``join``, the partner graph.
+    """
     if theorem_id not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem_id!r}")
     spec = THEOREMS[theorem_id]
-    if spec.needs_partner:
-        if partner is None:
-            raise PreconditionError(f"{theorem_id} needs a partner graph")
-        target = partner
+    if spec.needs_partner and not isinstance(target, Graph):
+        raise PreconditionError(f"{theorem_id} needs a partner graph")
     reason = spec.hypothesis(g, (target,))
     if reason is not None:
         raise PreconditionError(reason)
@@ -445,6 +447,9 @@ def run_campaign(
         raise ValueError(f"sample must be >= 1, got {policy[1]}")
     if config.theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {config.theorem!r}")
+    if policy is not None and THEOREMS[config.theorem].targets is None:
+        raise ValueError(f"{config.theorem} takes no target sample: "
+                         "its one target per trial is the partner graph")
     if config.theorem in ("tree_leaf_add", "tree_leaf_delete") and not isinstance(
         config.model, RandomTree
     ):

@@ -72,7 +72,7 @@ def _cmd_mp(args) -> int:
     print(f"mp={res.value}")
     if args.witness:
         print("witness=" + ",".join(str(v) for v in res.witness.vertices))
-        print(f"direction={res.witness.direction}")
+        print("direction=non-decreasing")
     return 0
 
 
@@ -143,9 +143,13 @@ def _cmd_construct(args) -> int:
 
 def _make_model(args) -> bounds.Model:
     cls = bounds.MODELS[args.model]
-    values = [getattr(args, f.name) for f in fields(cls)]
+    names = [f.name for f in fields(cls)]
+    for flag in _MODEL_FLAGS:
+        if flag not in names and getattr(args, flag) is not None:
+            raise CliError(f"{args.model} model does not take --{flag}")
+    values = [getattr(args, name) for name in names]
     if None in values:
-        flags = [f"--{f.name}" for f in fields(cls)]
+        flags = [f"--{name}" for name in names]
         listed = flags[0] if len(flags) == 1 else ", ".join(flags[:-1]) + " and " + flags[-1]
         raise CliError(f"{args.model} model needs {listed}")
     return cls(*values)

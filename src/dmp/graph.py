@@ -37,11 +37,6 @@ class Graph:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self.adj[u]
 

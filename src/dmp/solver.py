@@ -2,13 +2,11 @@
 
 A path is degree monotone when the host-graph degrees along it are
 non-decreasing or non-increasing; mp(G) counts the vertices of a longest
-such path.  Three routes are provided:
+such path.  Two routes are provided:
 
 * ``mp_exact``      branch and bound, exact for any graph, with a witness;
 * ``mp_oracle``     exhaustive dynamic program over (vertex set, endpoint)
-                    states, for independent verification on small graphs;
-* ``mp_dag_fast_path``  polynomial special case when no edge joins two
-                    vertices of equal degree.
+                    states, for independent verification on small graphs.
 
 Only non-decreasing paths are searched by the solver: reversing a
 non-increasing path yields a non-decreasing one, so the two maxima agree.
@@ -49,15 +47,13 @@ class SearchLimits:
 
 @dataclass(frozen=True)
 class MonotonePath:
-    vertices: tuple[int, ...]
-    direction: str  # "non-decreasing" or "non-increasing"
+    vertices: tuple[int, ...]  # a path whose degrees are non-decreasing
 
 
 @dataclass(frozen=True)
 class MpResult:
     value: int
     witness: MonotonePath
-    method: str  # "branch-and-bound" (mp_exact) or "dag-fast-path"
 
 
 def is_degree_monotone(g: Graph, vertices: list[int] | tuple[int, ...]) -> bool:
@@ -139,11 +135,7 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
             else:
                 break
 
-    return MpResult(
-        value=best_len,
-        witness=MonotonePath(best_path, "non-decreasing"),
-        method="branch-and-bound",
-    )
+    return MpResult(best_len, MonotonePath(best_path))
 
 
 def mp_oracle(g: Graph, max_n: int = ORACLE_MAX_N) -> int:
@@ -191,44 +183,3 @@ def mp_oracle(g: Graph, max_n: int = ORACLE_MAX_N) -> int:
                     ext ^= lowx
                     states[mask | lowx] |= lowx
     return best
-
-
-def degree_orientation_is_acyclic(g: Graph) -> bool:
-    """True iff no edge joins two vertices of equal degree."""
-    deg = [len(a) for a in g.adj]
-    return all(deg[u] != deg[v] for u, v in g.edges())
-
-
-def mp_dag_fast_path(g: Graph) -> MpResult | None:
-    """Polynomial mp(G) when the degree orientation is acyclic, else None.
-
-    Orienting every edge from its lower-degree endpoint to its higher-degree
-    endpoint yields a DAG exactly when no edge joins equal degrees; a longest
-    directed path in that DAG is a longest degree-monotone path.
-    """
-    if g.n < 1:
-        raise ValueError("mp is undefined for the empty graph")
-    if not degree_orientation_is_acyclic(g):
-        return None
-    n = g.n
-    deg = [len(a) for a in g.adj]
-    order = sorted(range(n), key=lambda v: (deg[v], v))  # valid topological order
-    dist = [1] * n
-    pred: list[int | None] = [None] * n
-    for v in order:
-        for w in sorted(g.adj[v]):
-            if deg[w] > deg[v] and dist[v] + 1 > dist[w]:
-                dist[w] = dist[v] + 1
-                pred[w] = v
-    end = min(range(n), key=lambda v: (-dist[v], v))
-    chain: list[int] = []
-    cur: int | None = end
-    while cur is not None:
-        chain.append(cur)
-        cur = pred[cur]
-    chain.reverse()
-    return MpResult(
-        value=dist[end],
-        witness=MonotonePath(tuple(chain), "non-decreasing"),
-        method="dag-fast-path",
-    )

@@ -136,10 +136,7 @@ def test_criterion_4_sharpness_witnesses():
     wrong = []
     for theorem, family, params, expect in designations:
         inst = generate(family, params)
-        if theorem in ("cartesian_product", "join"):
-            rec = check_bound(theorem, inst.graph, None, partner=inst.target)
-        else:
-            rec = check_bound(theorem, inst.graph, inst.target)
+        rec = check_bound(theorem, inst.graph, inst.target)
         got = rec.passed and (rec.tight_high if expect == "high" else rec.tight_low)
         if not got:
             wrong.append((theorem, family))

@@ -70,7 +70,7 @@ def test_check_bound_subdivision_example():
 
 def test_check_bound_join_of_singletons():
     one = from_edge_list(1, [])
-    rec = check_bound("join", one, None, partner=one)
+    rec = check_bound("join", one, one)
     assert rec.mp_after == 2
     assert rec.lower == Fraction(2)
     assert rec.passed and rec.tight_low
@@ -91,7 +91,12 @@ def test_check_bound_rejects_non_tree_for_leaf_theorems():
 def test_check_bound_rejects_disconnected_product_operand():
     disc = from_edge_list(3, [(0, 1)])
     with pytest.raises(PreconditionError):
-        check_bound("cartesian_product", disc, None, partner=path_graph(2))
+        check_bound("cartesian_product", disc, path_graph(2))
+
+
+def test_check_bound_join_needs_a_partner_graph():
+    with pytest.raises(PreconditionError, match="needs a partner graph"):
+        check_bound("join", path_graph(3), (0, 1))
 
 
 def test_check_bound_unknown_theorem():
@@ -172,6 +177,14 @@ def test_campaign_rejects_sample_below_one(j):
 def test_campaign_rejects_unknown_target_policy(policy):
     config = CampaignConfig("edge_add", Gnp(6, 0.4), 3, 1, policy)
     with pytest.raises(ValueError, match="target_policy"):
+        run_campaign(config)
+
+
+@pytest.mark.parametrize("theorem", ["cartesian_product", "join"])
+def test_campaign_rejects_sample_for_partner_theorems(theorem):
+    config = CampaignConfig(theorem, Gnp(4, 0.5), 5, 1, ("sample", 7))
+    with pytest.raises(ValueError, match=f"{theorem} takes no target sample: "
+                                         "its one target per trial is the partner graph"):
         run_campaign(config)
 
 

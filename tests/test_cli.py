@@ -213,6 +213,30 @@ def test_verify_names_the_missing_model_flags(model, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("model, flags, message", [
+    ("gnp", ["--n", "4", "--p", "0.5", "--n1", "3"], "gnp model does not take --n1"),
+    ("random_tree", ["--n", "4", "--p", "0.5"], "random_tree model does not take --p"),
+    ("random_bipartite", ["--n", "4", "--n1", "2", "--n2", "2", "--p", "0.5"],
+     "random_bipartite model does not take --n"),
+])
+def test_verify_rejects_flags_the_model_does_not_take(model, flags, message, capsys):
+    args = ["verify", "--theorem", "edge_add", "--model", model, "--trials", "5"]
+    assert main(args + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("theorem", ["cartesian_product", "join"])
+def test_verify_rejects_sample_for_partner_theorems(theorem, capsys):
+    assert main(["verify", "--theorem", theorem, "--model", "gnp", "--n", "4",
+                 "--p", "0.5", "--trials", "5", "--seed", "1", "--sample", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {theorem} takes no target sample: "
+                            "its one target per trial is the partner graph\n")
+
+
 def test_oracle_check_ok(capsys):
     assert main(["oracle-check", "--max-n", "8", "--trials", "50", "--seed", "7"]) == 0
     assert capsys.readouterr().out.startswith("mismatches=0")

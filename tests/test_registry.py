@@ -93,8 +93,10 @@ def test_golden_json_report_digest(tid):
 
 
 def test_golden_sampled_report_digest():
+    # a product or a join has one target per trial, the partner graph: no sample
     reports = "".join(
-        records_to_csv(run_campaign(CampaignConfig(tid, model, 10, 42, ("sample", 3)))[0])
+        records_to_csv(run_campaign(CampaignConfig(
+            tid, model, 10, 42, None if THEOREMS[tid].targets is None else ("sample", 3)))[0])
         for tid, (model, _) in GOLDEN_CSV_SHA256.items()
     )
     assert hashlib.sha256(reports.encode()).hexdigest() == GOLDEN_SAMPLED_CSV_SHA256
@@ -121,10 +123,7 @@ def test_family_theorem_matches_its_operation(info):
     inst = _min_instance(info)
     spec = THEOREMS[info.theorem]
     assert spec.operation == inst.operation
-    if spec.needs_partner:
-        rec = check_bound(info.theorem, inst.graph, None, partner=inst.target)
-    else:
-        rec = check_bound(info.theorem, inst.graph, inst.target)
+    rec = check_bound(info.theorem, inst.graph, inst.target)
     assert rec.passed
     assert (rec.mp_before, rec.mp_after) == (inst.claimed_mp_before, inst.claimed_mp_after)
 

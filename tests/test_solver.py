@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from dmp.bounds import Gnp, RandomTree, random_graph
 from dmp.graph import from_edge_list
@@ -17,9 +17,7 @@ from dmp.constructions import (
 from dmp.solver import (
     BudgetExceededError,
     SearchLimits,
-    degree_orientation_is_acyclic,
     is_degree_monotone,
-    mp_dag_fast_path,
     mp_exact,
     mp_oracle,
 )
@@ -178,34 +176,28 @@ def test_oracle_matches_exact(g):
     assert mp_exact(g).value == mp_oracle(g)
 
 
-def test_fast_path_not_applicable_on_path():
-    assert mp_dag_fast_path(path_graph(4)) is None
-    assert not degree_orientation_is_acyclic(path_graph(4))
+def _dag_longest_path(g):
+    """Vertices on a longest path once each edge points to its higher-degree end."""
+    deg = [len(a) for a in g.adj]
+    longest = [1] * g.n
+    for v in sorted(range(g.n), key=lambda v: deg[v]):
+        for w in g.adj[v]:
+            if deg[w] > deg[v]:
+                longest[w] = max(longest[w], longest[v] + 1)
+    return max(longest)
 
 
-def test_fast_path_star():
-    res = mp_dag_fast_path(star_graph(3))
-    assert res is not None
-    assert res.value == 2
-    assert res.method == "dag-fast-path"
-    assert is_degree_monotone(star_graph(3), res.witness.vertices)
+def _no_equal_degree_edge(g):
+    return all(g.degree(u) != g.degree(v) for u, v in g.edges())
 
 
-@given(graphs())
-def test_fast_path_sound_when_applicable(g):
-    res = mp_dag_fast_path(g)
-    if res is not None:
-        assert res.value == mp_exact(g).value
-        assert is_degree_monotone(g, res.witness.vertices)
-
-
-def test_fast_path_consistent_on_generated_instances():
-    for k in range(3, 7):
-        g = generate("g1_minus", {"k": k}).graph
-        res = mp_dag_fast_path(g)
-        if res is not None:
-            assert res.value == mp_exact(g).value
-
-
-def test_methods_tagged():
-    assert mp_exact(path_graph(3)).method == "branch-and-bound"
+# With no edge between equal degrees the orientation is acyclic, and a
+# longest degree-monotone path is a longest path in that DAG.
+@given(graphs().filter(_no_equal_degree_edge))
+@example(star_graph(3))
+@example(generate("contract_g1", {"k": 2}).graph)
+@example(generate("tree_t1_plus", {"k": 2}).graph)
+@example(generate("tree_blowup", {"k": 5}).graph)
+def test_mp_exact_is_dag_longest_path_without_equal_degree_edges(g):
+    assert _no_equal_degree_edge(g)
+    assert mp_exact(g).value == _dag_longest_path(g)
