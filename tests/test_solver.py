@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 
 from dmp.bounds import Gnp, RandomTree, random_graph
 from dmp.graph import from_edge_list
@@ -191,13 +191,29 @@ def _no_equal_degree_edge(g):
     return all(g.degree(u) != g.degree(v) for u, v in g.edges())
 
 
-# With no edge between equal degrees the orientation is acyclic, and a
-# longest degree-monotone path is a longest path in that DAG.
+# The fast path: with no edge between equal degrees the orientation is
+# acyclic, and a longest degree-monotone path is a longest path in that DAG.
+# mp_exact must agree with it wherever it applies.
+def test_fast_path_star():
+    g = star_graph(3)
+    res = mp_exact(g)
+    assert res.value == _dag_longest_path(g) == 2
+    assert is_degree_monotone(g, res.witness.vertices)
+
+
 @given(graphs().filter(_no_equal_degree_edge))
-@example(star_graph(3))
-@example(generate("contract_g1", {"k": 2}).graph)
-@example(generate("tree_t1_plus", {"k": 2}).graph)
-@example(generate("tree_blowup", {"k": 5}).graph)
-def test_mp_exact_is_dag_longest_path_without_equal_degree_edges(g):
-    assert _no_equal_degree_edge(g)
-    assert mp_exact(g).value == _dag_longest_path(g)
+def test_fast_path_sound_when_applicable(g):
+    res = mp_exact(g)
+    assert res.value == _dag_longest_path(g)
+    assert is_degree_monotone(g, res.witness.vertices)
+
+
+def test_fast_path_consistent_on_generated_instances():
+    for name, params in [
+        ("contract_g1", {"k": 2}),
+        ("tree_t1_plus", {"k": 2}),
+        ("tree_blowup", {"k": 5}),
+    ]:
+        g = generate(name, params).graph
+        assert _no_equal_degree_edge(g), name
+        assert mp_exact(g).value == _dag_longest_path(g), name
