@@ -43,11 +43,12 @@ class TheoremSpec:
     reason the theorem does not apply to one of them, or None when it applies
     to all; checks of ``g`` alone run once, however many targets there are.
     ``lower`` and ``upper`` take (mp_before, n_before, mp_partner,
-    n_partner); the partner values are None unless the operation is a
-    product or a join, whose target is the partner graph.  ``targets(g, rng,
-    sample)`` lists the targets one campaign trial checks in ``g``: all of
-    them, or ``sample`` drawn with ``rng``; it is None for a product or a
-    join, whose one target is a partner graph drawn from the model.
+    n_partner); they are None unless the theorem ``needs_partner``, as its
+    operation's target kind says.  ``targets(g, rng, sample)`` lists the
+    targets one campaign trial checks in ``g``: all of them, or ``sample``
+    drawn with ``rng``; a partner theorem's trial checks one partner graph
+    drawn from the model instead.  ``model`` names the only model a campaign
+    may draw from, if any.
     """
 
     id: str
@@ -55,11 +56,12 @@ class TheoremSpec:
     hypothesis: Callable[[Graph, tuple], str | None]
     lower: Bound
     upper: Bound
-    targets: Callable[[Graph, random.Random, int | None], list] | None
+    targets: Callable[[Graph, random.Random, int | None], list] | None = None
+    model: str | None = None
 
     @property
     def needs_partner(self) -> bool:
-        return self.operation in ops.PARTNER_OPS
+        return ops.target_kind(self.operation) == "partner"
 
 
 def _holds(g: Graph, targets: tuple) -> None:
@@ -136,11 +138,12 @@ THEOREMS: dict[str, TheoremSpec] = {spec.id: spec for spec in (
     TheoremSpec("tree_leaf_add", "add-vertex", _tree_leaf_added,
                 lambda mp, n, p, np_: Fraction(mp, 2),
                 lambda mp, n, p, np_: Fraction(2 * mp),
-                _each(lambda g: [(v,) for v in range(g.n)])),
+                _each(lambda g: [(v,) for v in range(g.n)]), model="random_tree"),
     TheoremSpec("tree_leaf_delete", "delete-vertex", _tree_leaf_deleted,
                 lambda mp, n, p, np_: Fraction(mp, 2),
                 lambda mp, n, p, np_: Fraction(2 * mp),
-                _each(lambda g: [v for v in range(g.n) if g.degree(v) == 1])),
+                _each(lambda g: [v for v in range(g.n) if g.degree(v) == 1]),
+                model="random_tree"),
     TheoremSpec("vertex_add_general", "add-vertex", _holds,
                 lambda mp, n, p, np_: Fraction(2),
                 lambda mp, n, p, np_: Fraction(n + 1), _neighbor_sets),
@@ -150,10 +153,10 @@ THEOREMS: dict[str, TheoremSpec] = {spec.id: spec for spec in (
                 _each(lambda g: list(range(g.n)) if g.n >= 2 else [])),
     TheoremSpec("cartesian_product", "cartesian-product", _both_connected,
                 lambda mp, n, p, np_: Fraction(mp + p - 1),
-                lambda mp, n, p, np_: Fraction(mp * p), None),
+                lambda mp, n, p, np_: Fraction(mp * p)),
     TheoremSpec("join", "join", _holds,
                 lambda mp, n, p, np_: Fraction(mp + p),
-                lambda mp, n, p, np_: Fraction(n + np_), None),
+                lambda mp, n, p, np_: Fraction(n + np_)),
 )}
 
 THEOREM_IDS = tuple(THEOREMS)
@@ -209,17 +212,6 @@ def _report_fields(obj) -> dict:
 CSV_HEADER = ",".join(column for _, column in _columns(BoundCheckRecord))
 
 
-def describe_target(operation: str, target) -> str:
-    """Comma-free target description for reports."""
-    if operation in ("add-edge", "delete-edge", "subdivide", "contract"):
-        return f"edge({target[0]}-{target[1]})"
-    if operation == "delete-vertex":
-        return f"vertex({target})"
-    if operation == "add-vertex":
-        return "neighbors(" + "+".join(str(x) for x in target) + ")"
-    return f"partner(n={target.n};m={target.m})"
-
-
 def _evaluate(
     spec: TheoremSpec,
     g: Graph,
@@ -250,7 +242,7 @@ def _evaluate(
             trial=trial,
             n=g.n,
             m=g.m,
-            target=describe_target(spec.operation, target),
+            target=ops.describe_target(spec.operation, target),
             mp_before=mp_before,
             mp_after=mp_after,
             lower=lower,
@@ -415,7 +407,7 @@ def _run_trial(config: CampaignConfig, trial: int, limits: SearchLimits | None):
     spec = THEOREMS[config.theorem]
     tseed = _trial_seed(config.seed, trial)
     g = random_graph(config.model, tseed)
-    if spec.targets is None:
+    if spec.needs_partner:
         targets = [random_graph(config.model, tseed + 1)]
     else:
         sample = config.target_policy[1] if config.target_policy else None
@@ -447,13 +439,12 @@ def run_campaign(
         raise ValueError(f"sample must be >= 1, got {policy[1]}")
     if config.theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {config.theorem!r}")
-    if policy is not None and THEOREMS[config.theorem].targets is None:
+    spec = THEOREMS[config.theorem]
+    if policy is not None and spec.needs_partner:
         raise ValueError(f"{config.theorem} takes no target sample: "
                          "its one target per trial is the partner graph")
-    if config.theorem in ("tree_leaf_add", "tree_leaf_delete") and not isinstance(
-        config.model, RandomTree
-    ):
-        raise ValueError(f"{config.theorem} campaigns need the random_tree model")
+    if spec.model is not None and not isinstance(config.model, MODELS[spec.model]):
+        raise ValueError(f"{config.theorem} campaigns need the {spec.model} model")
     workers = _worker_count(jobs, config.trials)
 
     results: list[list[BoundCheckRecord] | None]

@@ -9,12 +9,20 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from . import bounds, constructions, graph as gr, operations as ops
 from .solver import ORACLE_MAX_N, BudgetExceededError, SearchLimits, mp_exact, mp_oracle
+
+
+def _int(raw: str) -> int:
+    """An integer flag value, by the graph readers' rule (see ``graph._INT``)."""
+    if re.fullmatch(gr._INT, raw) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+    return int(raw)
 
 
 # --op names: the operation kinds, with cartesian-product spelled "cartesian"
@@ -25,18 +33,14 @@ _CATALOG_PARAMS = tuple(dict.fromkeys(
 # verify model flags: every model's field names, in order of first appearance, with
 # their types (bounds postpones annotations, so a field's type is its name)
 _MODEL_FLAGS = {
-    f.name: {"int": int, "float": float}[f.type]
+    f.name: {"int": _int, "float": float}[f.type]
     for cls in bounds.MODELS.values() for f in fields(cls)
 }
 
 
-class CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit 1 on bad flags, not argparse's 2
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _limits() -> SearchLimits:
@@ -46,14 +50,14 @@ def _limits() -> SearchLimits:
     try:
         return SearchLimits(node_budget=int(raw))
     except ValueError:  # not an integer, or below 1
-        raise CliError(f"DMP_NODE_BUDGET must be a positive integer, got {raw!r}") from None
+        raise ValueError(f"DMP_NODE_BUDGET must be a positive integer, got {raw!r}") from None
 
 
 def _read_graph(path: str, fmt: str) -> gr.Graph:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     if fmt == "edgelist":
         return gr.parse_edge_list_text(text)
     if fmt == "json":
@@ -78,28 +82,26 @@ def _cmd_mp(args) -> int:
 
 def _parse_ids(raw: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in raw.split(","))
-    except ValueError:
-        raise CliError(f"expected comma-separated integers, got {raw!r}") from None
+        return tuple(_int(x) for x in raw.split(","))
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"expected comma-separated integers, got {raw!r}") from None
+
+
+# per target kind (operations.target_kind): its flags, and the target they give
+_TARGET_FLAGS = {
+    "edge": (("u", "v"), lambda args: (args.u, args.v)),
+    "vertex": (("vertex",), lambda args: args.vertex),
+    "neighbors": (("neighbors",), lambda args: _parse_ids(args.neighbors)),
+    "partner": (("partner",), lambda args: _read_graph(args.partner, args.format)),
+}
 
 
 def _op_target(args, op: str):
-    """The operation's target from the flags: an edge, a vertex, neighbors or a partner."""
-    if op in ops.PARTNER_OPS:
-        if args.partner is None:
-            raise CliError(f"--op {args.op} needs --partner")
-        return _read_graph(args.partner, args.format)
-    if op == "add-vertex":
-        if args.neighbors is None:
-            raise CliError("--op add-vertex needs --neighbors")
-        return _parse_ids(args.neighbors)
-    if op == "delete-vertex":
-        if args.vertex is None:
-            raise CliError("--op delete-vertex needs --vertex")
-        return args.vertex
-    if args.u is None or args.v is None:
-        raise CliError(f"--op {args.op} needs --u and --v")
-    return (args.u, args.v)
+    """The operation's target, from the flags of its target kind."""
+    flags, read = _TARGET_FLAGS[ops.target_kind(op)]
+    if any(getattr(args, flag) is None for flag in flags):
+        raise ValueError(f"--op {args.op} needs " + " and ".join(f"--{f}" for f in flags))
+    return read(args)
 
 
 def _cmd_op(args) -> int:
@@ -124,10 +126,10 @@ def _cmd_op(args) -> int:
 def _cmd_construct(args) -> int:
     params = {n: getattr(args, n) for n in _CATALOG_PARAMS if getattr(args, n) is not None}
     inst = constructions.generate(args.family, params)
-    if args.partner_out and not isinstance(inst.target, gr.Graph):
-        raise CliError(f"family {inst.family} has no partner graph")
+    if args.partner_out and ops.target_kind(inst.operation) != "partner":
+        raise ValueError(f"family {inst.family} has no partner graph")
     g = inst.graph
-    tgt = bounds.describe_target(inst.operation, inst.target)
+    tgt = ops.describe_target(inst.operation, inst.target)
     pstr = " ".join(f"{k}={v}" for k, v in sorted(inst.params.items()))
     print(
         f"family={inst.family} {pstr} n={g.n} m={g.m} "
@@ -146,12 +148,12 @@ def _make_model(args) -> bounds.Model:
     names = [f.name for f in fields(cls)]
     for flag in _MODEL_FLAGS:
         if flag not in names and getattr(args, flag) is not None:
-            raise CliError(f"{args.model} model does not take --{flag}")
+            raise ValueError(f"{args.model} model does not take --{flag}")
     values = [getattr(args, name) for name in names]
     if None in values:
         flags = [f"--{name}" for name in names]
         listed = flags[0] if len(flags) == 1 else ", ".join(flags[:-1]) + " and " + flags[-1]
-        raise CliError(f"{args.model} model needs {listed}")
+        raise ValueError(f"{args.model} model needs {listed}")
     return cls(*values)
 
 
@@ -163,10 +165,7 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         target_policy=("sample", args.sample) if args.sample is not None else None,
     )
-    try:
-        records, summary = bounds.run_campaign(config, _limits(), jobs=args.jobs)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    records, summary = bounds.run_campaign(config, _limits(), jobs=args.jobs)
     if args.report:
         Path(args.report).write_text(
             bounds.records_to_json(records, summary)
@@ -182,7 +181,9 @@ def _cmd_verify(args) -> int:
     return 2 if summary.failures else 0
 
 
-def _oracle_catalog(max_n: int) -> list[gr.Graph]:
+def _oracle_graphs(max_n: int, trials: int, seed: int) -> list[gr.Graph]:
+    """The graphs oracle-check compares mp_exact with mp_oracle on: a fixed catalog
+    of graphs on at most max_n vertices, then ``trials`` seeded Gnp graphs."""
     cat: list[gr.Graph] = []
     cat.extend(constructions.path_graph(n) for n in range(1, max_n + 1))
     cat.extend(constructions.cycle_graph(n) for n in range(3, max_n + 1))
@@ -193,25 +194,24 @@ def _oracle_catalog(max_n: int) -> list[gr.Graph]:
         for a in range(1, max_n)
         for b in range(a, max_n + 1 - a)
     )
+    for t in range(trials):
+        tseed = bounds._trial_seed(seed, t)
+        n = 1 + (tseed % min(max_n, 10))
+        p = 0.1 + 0.8 * ((tseed >> 8) % 100) / 100.0
+        cat.append(bounds.random_graph(bounds.Gnp(n, p), tseed))
     return cat
 
 
 def _cmd_oracle_check(args) -> int:
     if not 1 <= args.max_n <= ORACLE_MAX_N:
-        raise CliError(f"--max-n must be in 1..{ORACLE_MAX_N}, got {args.max_n}")
+        raise ValueError(f"--max-n must be in 1..{ORACLE_MAX_N}, got {args.max_n}")
     if args.trials < 0:
-        raise CliError(f"--trials must be >= 0, got {args.trials}")
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     limits = _limits()
-    graphs = _oracle_catalog(args.max_n)
-    rng_n = min(args.max_n, 10)
-    for t in range(args.trials):
-        seed = bounds._trial_seed(args.seed, t)
-        n = 1 + (seed % rng_n)
-        p = 0.1 + 0.8 * ((seed >> 8) % 100) / 100.0
-        graphs.append(bounds.random_graph(bounds.Gnp(n, p), seed))
+    graphs = _oracle_graphs(args.max_n, args.trials, args.seed)
     mismatches = 0
     for g in graphs:
-        if mp_exact(g, limits).value != mp_oracle(g, args.max_n):
+        if mp_exact(g, limits).value != mp_oracle(g):
             mismatches += 1
     print(f"mismatches={mismatches} graphs={len(graphs)}")
     return 2 if mismatches else 0
@@ -230,9 +230,9 @@ def main(argv: list[str] | None = None) -> int:
     p_op.add_argument("input")
     p_op.add_argument("--op", required=True, choices=list(_OP_NAMES))
     p_op.add_argument("--format", choices=["auto", "edgelist", "json"], default="auto")
-    p_op.add_argument("--u", type=int)
-    p_op.add_argument("--v", type=int)
-    p_op.add_argument("--vertex", type=int)
+    p_op.add_argument("--u", type=_int)
+    p_op.add_argument("--v", type=_int)
+    p_op.add_argument("--vertex", type=_int)
     p_op.add_argument("--neighbors")
     p_op.add_argument("--partner")
     p_op.add_argument("--out")
@@ -241,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     p_con = sub.add_parser("construct", help="emit a catalog construction")
     p_con.add_argument("--family", required=True)
     for name in _CATALOG_PARAMS:
-        p_con.add_argument(f"--{name}", type=int)
+        p_con.add_argument(f"--{name}", type=_int)
     p_con.add_argument("--out")
     p_con.add_argument("--partner-out")
     p_con.add_argument("--json", action="store_true")
@@ -251,17 +251,17 @@ def main(argv: list[str] | None = None) -> int:
     p_ver.add_argument("--model", required=True, choices=list(bounds.MODELS))
     for name, type_ in _MODEL_FLAGS.items():
         p_ver.add_argument(f"--{name}", type=type_)
-    p_ver.add_argument("--trials", type=int, default=200)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--sample", type=int, help="check only this many targets per trial (>= 1)")
-    p_ver.add_argument("--jobs", type=int, default=1)
+    p_ver.add_argument("--trials", type=_int, default=200)
+    p_ver.add_argument("--seed", type=_int, default=0)
+    p_ver.add_argument("--sample", type=_int, help="check only this many targets per trial (>= 1)")
+    p_ver.add_argument("--jobs", type=_int, default=1)
     p_ver.add_argument("--report")
     p_ver.add_argument("--json", action="store_true")
 
     p_or = sub.add_parser("oracle-check", help="cross-check solver against the oracle")
-    p_or.add_argument("--max-n", type=int, default=ORACLE_MAX_N)
-    p_or.add_argument("--trials", type=int, default=500)
-    p_or.add_argument("--seed", type=int, default=0)
+    p_or.add_argument("--max-n", type=_int, default=ORACLE_MAX_N)
+    p_or.add_argument("--trials", type=_int, default=500)
+    p_or.add_argument("--seed", type=_int, default=0)
 
     try:
         args = parser.parse_args(argv)
@@ -276,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,6 @@ from typing import Callable
 
 from .graph import Graph, from_edge_list
 from . import operations as ops
-from .operations import OP_KINDS
 
 
 @dataclass(frozen=True)
@@ -28,14 +27,10 @@ class ConstructionInstance:
     family: str
     params: dict[str, int]
     graph: Graph
-    operation: str  # one of OP_KINDS
-    target: tuple[int, int] | int | tuple[int, ...] | Graph
+    operation: str  # one of operations.OP_KINDS
+    target: tuple[int, int] | int | tuple[int, ...] | Graph  # of the operation's kind
     claimed_mp_before: int
     claimed_mp_after: int
-
-    def __post_init__(self) -> None:
-        if self.operation not in OP_KINDS:
-            raise ValueError(f"unknown operation kind {self.operation!r}")
 
 
 @dataclass(frozen=True)

@@ -114,9 +114,10 @@ def _from_parsed_edges(n: int, edges: list[tuple[int, int]]) -> Graph:
     return g
 
 
-# two whitespace-separated integers, each an optional '-' and ASCII digits: int()
-# alone would also take '_', '+' and non-ASCII digits
-_PAIR = re.compile(r"\s*(-?[0-9]+)\s+(-?[0-9]+)\s*")
+# an integer is an optional '-' and ASCII digits: int() alone would also take
+# '_', '+', blanks and non-ASCII digits; a line of the edge-list text is two of them
+_INT = "-?[0-9]+"
+_PAIR = re.compile(rf"\s*({_INT})\s+({_INT})\s*")
 
 
 def _pair(line: str, expected: str) -> tuple[int, int]:

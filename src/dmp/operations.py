@@ -4,7 +4,9 @@ vertex add/delete, Cartesian product and join.
 All operations are pure and return new graphs.  Operations that remove or
 merge vertices re-index densely and also return an old-to-new id map.
 Product vertices are indexed (a, b) -> a * h.n + b.  ``apply`` dispatches
-by operation name, the one dispatch every caller goes through.
+by operation name, the one dispatch every caller goes through; its table also
+says what kind of target each operation takes: an edge (u, v), a vertex, the
+neighbors of a new vertex as a tuple, or a partner graph.
 """
 
 from __future__ import annotations
@@ -126,31 +128,44 @@ def join(g: Graph, h: Graph) -> Graph:
     return from_edge_list(g.n + h.n, edges)
 
 
-# Each entry looks its operation up in the module globals at call time, so a
-# wrapper installed on this module (for tracing, say) also sees calls made
-# through apply.
+# One row per operation: the kind of target it takes, and its call.  Each call
+# looks its operation up in the module globals at call time, so a wrapper
+# installed on this module (for tracing, say) also sees calls made through apply.
 _DISPATCH = {
-    "add-edge": lambda g, t: add_edge(g, *t),
-    "delete-edge": lambda g, t: delete_edge(g, *t),
-    "subdivide": lambda g, t: subdivide_edge(g, *t),
-    "contract": lambda g, t: contract_edge(g, *t)[0],
-    "add-vertex": lambda g, t: add_vertex(g, t),
-    "delete-vertex": lambda g, t: delete_vertex(g, t)[0],
-    "cartesian-product": lambda g, t: cartesian_product(g, t),
-    "join": lambda g, t: join(g, t),
+    "add-edge": ("edge", lambda g, t: add_edge(g, *t)),
+    "delete-edge": ("edge", lambda g, t: delete_edge(g, *t)),
+    "subdivide": ("edge", lambda g, t: subdivide_edge(g, *t)),
+    "contract": ("edge", lambda g, t: contract_edge(g, *t)[0]),
+    "add-vertex": ("neighbors", lambda g, t: add_vertex(g, t)),
+    "delete-vertex": ("vertex", lambda g, t: delete_vertex(g, t)[0]),
+    "cartesian-product": ("partner", lambda g, t: cartesian_product(g, t)),
+    "join": ("partner", lambda g, t: join(g, t)),
 }
 
 OP_KINDS = tuple(_DISPATCH)
-PARTNER_OPS = ("cartesian-product", "join")  # their target is a second graph
+
+
+def target_kind(op: str) -> str:
+    """What ``op`` takes as its target: "edge", "vertex", "neighbors" or "partner"."""
+    if op not in _DISPATCH:
+        raise ValueError(f"unknown operation kind {op!r}")
+    return _DISPATCH[op][0]
+
+
+def describe_target(op: str, target) -> str:
+    """Comma-free target description for reports."""
+    kind = target_kind(op)
+    if kind == "edge":
+        return f"edge({target[0]}-{target[1]})"
+    if kind == "vertex":
+        return f"vertex({target})"
+    if kind == "neighbors":
+        return "neighbors(" + "+".join(str(x) for x in target) + ")"
+    return f"partner(n={target.n};m={target.m})"
 
 
 def apply(op: str, g: Graph, target) -> Graph:
-    """Apply operation ``op`` (one of OP_KINDS) and return the new graph.
-
-    ``target`` is an edge (u, v), a vertex, a tuple of neighbors for
-    add-vertex, or the partner graph for cartesian-product and join.  An
-    invalid target raises the operation's own ValueError.
-    """
-    if op not in _DISPATCH:
-        raise ValueError(f"unknown operation kind {op!r}")
-    return _DISPATCH[op](g, target)
+    """Apply ``op`` to a target of its kind and return the new graph; an unknown
+    operation or an invalid target raises ValueError."""
+    target_kind(op)  # rejects an unknown operation
+    return _DISPATCH[op][1](g, target)

@@ -17,7 +17,7 @@ from dmp.constructions import (
     path_graph,
     star_graph,
 )
-from dmp.cli import _oracle_catalog
+from dmp.cli import _oracle_graphs
 from dmp.operations import add_vertex, delete_vertex, subdivide_edge
 from dmp.solver import mp_exact, mp_oracle
 from dmp.bounds import (
@@ -26,7 +26,6 @@ from dmp.bounds import (
     RandomBipartite,
     RandomTree,
     check_bound,
-    random_graph,
     run_campaign,
 )
 
@@ -62,20 +61,14 @@ def test_criterion_1_construction_reproduction():
 
 def test_criterion_2_oracle_equivalence():
     t0 = time.time()
-    graphs = _oracle_catalog(12)
-    catalog_size = len(graphs)
-    for trial in range(500):
-        seed = 42 * 1_000_003 + trial
-        n = 1 + seed % 10
-        p = 0.1 + 0.8 * ((seed >> 8) % 100) / 100.0
-        graphs.append(random_graph(Gnp(n, p), seed))
+    graphs = _oracle_graphs(12, 500, 42)
     mismatches = sum(1 for g in graphs if mp_exact(g).value != mp_oracle(g))
     elapsed = time.time() - t0
     ok = mismatches == 0 and elapsed < 300.0
     _report(
         "2 oracle-equivalence",
         ok,
-        f"{catalog_size} catalog + 500 random graphs, "
+        f"{len(graphs) - 500} catalog + 500 random graphs, "
         f"{mismatches} mismatches, {elapsed:.1f}s",
     )
 

@@ -154,9 +154,17 @@ def test_campaign_counts_skips_on_dense_gnp_contraction():
     assert summary.skipped_trials > 0
 
 
-def test_campaign_rejects_incompatible_model():
-    with pytest.raises(ValueError, match="random_tree"):
-        run_campaign(CampaignConfig("tree_leaf_add", Gnp(8, 0.3), trials=5, seed=1))
+# the two theorems whose rows name a campaign model, with the other two models
+@pytest.mark.parametrize("model", [Gnp(8, 0.3), RandomBipartite(4, 4, 0.5)],
+                         ids=["gnp", "random_bipartite"])
+@pytest.mark.parametrize("tid", [
+    "tree_leaf_add",
+    "tree_leaf_delete",
+])
+def test_campaign_rejects_incompatible_model(tid, model):
+    with pytest.raises(ValueError) as exc:
+        run_campaign(CampaignConfig(tid, model, trials=5, seed=1))
+    assert str(exc.value) == f"{tid} campaigns need the random_tree model"
 
 
 def test_campaign_rejects_zero_trials():

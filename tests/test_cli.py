@@ -105,6 +105,27 @@ def test_op_missing_target_exits_1(tmp_path):
     assert main(["op", path, "--op", "add-vertex"]) == 1
 
 
+@pytest.mark.parametrize("raw", ["1_0", "+1", "\u0661"], ids=["underscore", "plus", "arabic"])
+@pytest.mark.parametrize("flags, message", [
+    (["op", "G", "--op", "add-edge", "--u", "RAW", "--v", "2"],
+     "argument --u: invalid int value: 'RAW'"),
+    (["op", "G", "--op", "add-vertex", "--neighbors", "RAW"],
+     "expected comma-separated integers, got 'RAW'"),
+    (["op", "G", "--op", "add-vertex", "--neighbors", "0,RAW"],
+     "expected comma-separated integers, got '0,RAW'"),
+    (["construct", "--family", "g1_plus", "--k", "RAW"],
+     "argument --k: invalid int value: 'RAW'"),
+], ids=["op_u", "op_neighbors", "op_neighbors_token", "construct_k"])
+def test_integer_flags_follow_the_file_readers_rule(tmp_path, capsys, raw, flags, message):
+    # an optional '-' and ASCII digits only: int() alone takes all three
+    path = _write(tmp_path, "p12.txt", path_graph(12))
+    argv = [path if a == "G" else a.replace("RAW", raw) for a in flags]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.replace('RAW', raw)}\n"
+
+
 def test_op_invalid_target_exits_1(tmp_path):
     path = _write(tmp_path, "p4.txt", path_graph(4))
     assert main(["op", path, "--op", "delete-edge", "--u", "0", "--v", "2"]) == 1

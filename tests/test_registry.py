@@ -29,7 +29,7 @@ from dmp.constructions import (
     path_graph,
     star_graph,
 )
-from dmp.graph import from_edge_list, to_edge_list_text
+from dmp.graph import Graph, from_edge_list, to_edge_list_text
 
 # sha256 of records_to_csv for 10 trials at seed 42 on the acceptance
 # criterion 3 models: campaign reports must not change by a single byte
@@ -96,7 +96,7 @@ def test_golden_sampled_report_digest():
     # a product or a join has one target per trial, the partner graph: no sample
     reports = "".join(
         records_to_csv(run_campaign(CampaignConfig(
-            tid, model, 10, 42, None if THEOREMS[tid].targets is None else ("sample", 3)))[0])
+            tid, model, 10, 42, None if THEOREMS[tid].needs_partner else ("sample", 3)))[0])
         for tid, (model, _) in GOLDEN_CSV_SHA256.items()
     )
     assert hashlib.sha256(reports.encode()).hexdigest() == GOLDEN_SAMPLED_CSV_SHA256
@@ -126,6 +126,25 @@ def test_family_theorem_matches_its_operation(info):
     rec = check_bound(info.theorem, inst.graph, inst.target)
     assert rec.passed
     assert (rec.mp_before, rec.mp_after) == (inst.claimed_mp_before, inst.claimed_mp_after)
+
+
+def _ints(t) -> bool:
+    return isinstance(t, tuple) and all(type(x) is int for x in t)
+
+
+# what a target of each kind looks like
+TARGET_SHAPES = {
+    "edge": lambda t: _ints(t) and len(t) == 2,
+    "vertex": lambda t: type(t) is int,
+    "neighbors": _ints,
+    "partner": lambda t: isinstance(t, Graph),
+}
+
+
+@pytest.mark.parametrize("info", list_families(), ids=lambda f: f.name)
+def test_family_target_has_its_operation_kind_shape(info):
+    inst = _min_instance(info)
+    assert TARGET_SHAPES[ops.target_kind(inst.operation)](inst.target)
 
 
 def test_k4_free_fails_the_triangle_free_hypothesis():
@@ -167,7 +186,10 @@ def _count_solves(monkeypatch, *modules):
     return calls
 
 
-@pytest.mark.parametrize("tid", ["tree_leaf_add", "tree_leaf_delete"])
+@pytest.mark.parametrize("tid", [
+    "tree_leaf_add",
+    "tree_leaf_delete",
+])
 def test_tree_hypothesis_checks_the_graph_once_per_trial(monkeypatch, tid):
     calls = []
     orig = bounds.is_tree
@@ -272,3 +294,17 @@ def test_readme_lists_families_and_theorems_in_order():
     assert re.findall(r"`(\w+)`", listed) == [f.name for f in list_families()]
     table_ids = re.findall(r"^\| `(\w+)`", readme, flags=re.MULTILINE)
     assert tuple(table_ids) == THEOREM_IDS
+
+
+@pytest.mark.parametrize("cmd", ["mp", "op", "construct", "verify", "oracle-check"])
+def test_readme_cli_synopsis_lists_every_option(cmd, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    # a command's synopsis runs from its "dmp <cmd>" line to the next "dmp" line
+    synopsis = re.search(rf"^dmp {cmd} .*?(?=^dmp |\Z)", block, re.MULTILINE | re.DOTALL)[0]
+    with pytest.raises(SystemExit):
+        cli.main([cmd, "--help"])
+    options = set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"}
+    assert options
+    missing = [o for o in sorted(options) if not re.search(rf"{o}(?![\w-])", synopsis)]
+    assert missing == []
