@@ -32,7 +32,6 @@ from .operations import (
     delete_edge,
     delete_vertex,
     join,
-    product_coords,
     product_index,
     subdivide_edge,
 )
@@ -52,7 +51,6 @@ from .bounds import (
     RandomBipartite,
     RandomTree,
     THEOREMS,
-    THEOREM_IDS,
     check_bound,
     random_graph,
     run_campaign,

@@ -19,7 +19,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from heapq import heapify, heappop, heappush
 from typing import ClassVar
 
@@ -32,9 +32,6 @@ class PreconditionError(ValueError):
     """The theorem's precondition does not hold for the given graph/target."""
 
 
-Bound = Callable[[int, int, int | None, int | None], Fraction]
-
-
 @dataclass(frozen=True)
 class TheoremSpec:
     """One proven bound: mp after ``operation`` lies in [lower, upper].
@@ -42,8 +39,9 @@ class TheoremSpec:
     ``hypothesis(g, targets)`` takes a tuple of targets and returns the first
     reason the theorem does not apply to one of them, or None when it applies
     to all; checks of ``g`` alone run once, however many targets there are.
-    ``lower`` and ``upper`` take (mp_before, n_before, mp_partner,
-    n_partner); they are None unless the theorem ``needs_partner``, as its
+    ``bounds(mp_before, n_before, mp_partner, n_partner)`` returns the
+    interval's two ends (lower, upper), each an int or a Fraction; the
+    partner's mp and n are None unless the theorem ``needs_partner``, as its
     operation's target kind says.  ``targets(g, rng, sample)`` lists the
     targets one campaign trial checks in ``g``: all of them, or ``sample``
     drawn with ``rng``; a partner theorem's trial checks one partner graph
@@ -54,8 +52,7 @@ class TheoremSpec:
     id: str
     operation: str
     hypothesis: Callable[[Graph, tuple], str | None]
-    lower: Bound
-    upper: Bound
+    bounds: Callable[[int, int, int | None, int | None], tuple]
     targets: Callable[[Graph, random.Random, int | None], list] | None = None
     model: str | None = None
 
@@ -124,42 +121,29 @@ def _non_edges(g: Graph) -> list:
 # vertex rows.
 THEOREMS: dict[str, TheoremSpec] = {spec.id: spec for spec in (
     TheoremSpec("edge_add", "add-edge", _holds,
-                lambda mp, n, p, np_: Fraction(mp + 1, 3),
-                lambda mp, n, p, np_: Fraction(3 * mp), _each(_non_edges)),
+                lambda mp, n, p, np_: (Fraction(mp + 1, 3), 3 * mp), _each(_non_edges)),
     TheoremSpec("edge_delete", "delete-edge", _holds,
-                lambda mp, n, p, np_: Fraction(mp, 3),
-                lambda mp, n, p, np_: Fraction(3 * mp - 1), _each(Graph.edges)),
+                lambda mp, n, p, np_: (Fraction(mp, 3), 3 * mp - 1), _each(Graph.edges)),
     TheoremSpec("subdivision", "subdivide", _holds,
-                lambda mp, n, p, np_: Fraction((mp + 2) // 2),
-                lambda mp, n, p, np_: Fraction(mp + 1), _each(Graph.edges)),
+                lambda mp, n, p, np_: ((mp + 2) // 2, mp + 1), _each(Graph.edges)),
     TheoremSpec("contraction_triangle_free", "contract", _triangle_free,
-                lambda mp, n, p, np_: Fraction(mp, 3),
-                lambda mp, n, p, np_: Fraction(2 * mp), _each(Graph.edges)),
+                lambda mp, n, p, np_: (Fraction(mp, 3), 2 * mp), _each(Graph.edges)),
     TheoremSpec("tree_leaf_add", "add-vertex", _tree_leaf_added,
-                lambda mp, n, p, np_: Fraction(mp, 2),
-                lambda mp, n, p, np_: Fraction(2 * mp),
+                lambda mp, n, p, np_: (Fraction(mp, 2), 2 * mp),
                 _each(lambda g: [(v,) for v in range(g.n)]), model="random_tree"),
     TheoremSpec("tree_leaf_delete", "delete-vertex", _tree_leaf_deleted,
-                lambda mp, n, p, np_: Fraction(mp, 2),
-                lambda mp, n, p, np_: Fraction(2 * mp),
+                lambda mp, n, p, np_: (Fraction(mp, 2), 2 * mp),
                 _each(lambda g: [v for v in range(g.n) if g.degree(v) == 1]),
                 model="random_tree"),
     TheoremSpec("vertex_add_general", "add-vertex", _holds,
-                lambda mp, n, p, np_: Fraction(2),
-                lambda mp, n, p, np_: Fraction(n + 1), _neighbor_sets),
+                lambda mp, n, p, np_: (2, n + 1), _neighbor_sets),
     TheoremSpec("vertex_delete_general", "delete-vertex", _holds,
-                lambda mp, n, p, np_: Fraction(1),
-                lambda mp, n, p, np_: Fraction(n - 1),
+                lambda mp, n, p, np_: (1, n - 1),
                 _each(lambda g: list(range(g.n)) if g.n >= 2 else [])),
     TheoremSpec("cartesian_product", "cartesian-product", _both_connected,
-                lambda mp, n, p, np_: Fraction(mp + p - 1),
-                lambda mp, n, p, np_: Fraction(mp * p)),
-    TheoremSpec("join", "join", _holds,
-                lambda mp, n, p, np_: Fraction(mp + p),
-                lambda mp, n, p, np_: Fraction(n + np_)),
+                lambda mp, n, p, np_: (mp + p - 1, mp * p)),
+    TheoremSpec("join", "join", _holds, lambda mp, n, p, np_: (mp + p, n + np_)),
 )}
-
-THEOREM_IDS = tuple(THEOREMS)
 
 
 def select_theorem(operation: str, g: Graph, target) -> tuple[TheoremSpec | None, str | None]:
@@ -231,8 +215,7 @@ def _evaluate(
     if spec.needs_partner:
         (partner,) = targets
         mp_p, n_p = mp_exact(partner, limits).value, partner.n
-    lower = spec.lower(mp_before, g.n, mp_p, n_p)
-    upper = spec.upper(mp_before, g.n, mp_p, n_p)
+    lower, upper = map(Fraction, spec.bounds(mp_before, g.n, mp_p, n_p))
     records = []
     for target, after in zip(targets, afters):
         mp_after = mp_exact(after, limits).value
@@ -259,8 +242,6 @@ def check_bound(
     g: Graph,
     target,
     limits: SearchLimits | None = None,
-    seed: int = 0,
-    trial: int = 0,
 ) -> BoundCheckRecord:
     """Verify one theorem instance with exact mp values and tightness flags.
 
@@ -276,7 +257,7 @@ def check_bound(
     reason = spec.hypothesis(g, (target,))
     if reason is not None:
         raise PreconditionError(reason)
-    return _evaluate(spec, g, [target], limits, seed, trial)[0][0]
+    return _evaluate(spec, g, [target], limits)[0][0]
 
 
 # random graph models
@@ -322,8 +303,6 @@ class RandomTree(Model):
             raise ValueError(f"bad tree size {n}")
         if n == 1:
             return from_edge_list(1, [])
-        if n == 2:
-            return from_edge_list(2, [(0, 1)])
         # uniform labeled tree via a random Pruefer sequence
         seq = [rng.randrange(n) for _ in range(n - 2)]
         deg = [1] * n
@@ -447,22 +426,16 @@ def run_campaign(
         raise ValueError(f"{config.theorem} campaigns need the {spec.model} model")
     workers = _worker_count(jobs, config.trials)
 
+    run_trial = partial(_run_trial, config, limits=limits)
     results: list[list[BoundCheckRecord] | None]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    _run_trial,
-                    [config] * config.trials,
-                    range(config.trials),
-                    [limits] * config.trials,
-                    chunksize=max(1, config.trials // (workers * 4)),
-                )
-            )
+            chunksize = max(1, config.trials // (workers * 4))
+            results = list(pool.map(run_trial, range(config.trials), chunksize=chunksize))
     else:
-        results = [_run_trial(config, t, limits) for t in range(config.trials)]
+        results = list(map(run_trial, range(config.trials)))
 
     records: list[BoundCheckRecord] = []
     skipped = 0

@@ -247,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     p_con.add_argument("--json", action="store_true")
 
     p_ver = sub.add_parser("verify", help="run a randomized bound campaign")
-    p_ver.add_argument("--theorem", required=True, choices=list(bounds.THEOREM_IDS))
+    p_ver.add_argument("--theorem", required=True, choices=list(bounds.THEOREMS))
     p_ver.add_argument("--model", required=True, choices=list(bounds.MODELS))
     for name, type_ in _MODEL_FLAGS.items():
         p_ver.add_argument(f"--{name}", type=type_)

@@ -95,11 +95,6 @@ def product_index(a: int, b: int, h_n: int) -> int:
     return a * h_n + b
 
 
-def product_coords(idx: int, h_n: int) -> tuple[int, int]:
-    """Inverse of product_index."""
-    return divmod(idx, h_n)
-
-
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product: (a,b) ~ (c,d) iff a==c and b~d, or b==d and a~c."""
     if g.n < 1 or h.n < 1:

@@ -29,7 +29,7 @@ from itertools import accumulate
 
 from .graph import Graph
 
-ORACLE_MAX_N = 12  # largest graph mp_oracle accepts by default: 2^n * n states
+ORACLE_MAX_N = 12  # largest graph mp_oracle accepts: 2^n * n states
 
 
 class BudgetExceededError(RuntimeError):
@@ -138,18 +138,19 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
     return MpResult(best_len, MonotonePath(best_path))
 
 
-def mp_oracle(g: Graph, max_n: int = ORACLE_MAX_N) -> int:
+def mp_oracle(g: Graph) -> int:
     """mp(G) by exhaustive dynamic programming, independent of mp_exact.
 
     Every (visited set, endpoint) state reachable by a monotone path is
     enumerated, with non-decreasing and non-increasing paths handled by two
     separate passes; there is no bounding, no ordering heuristic and no
-    reversal argument.  Feasible only for small graphs, hence the guard.
+    reversal argument.  Feasible only for small graphs: more than
+    ``ORACLE_MAX_N`` vertices raise ValueError.
     """
     if g.n < 1:
         raise ValueError("mp is undefined for the empty graph")
-    if g.n > max_n:
-        raise ValueError(f"graph has {g.n} vertices, oracle limit is {max_n}")
+    if g.n > ORACLE_MAX_N:
+        raise ValueError(f"graph has {g.n} vertices, oracle limit is {ORACLE_MAX_N}")
     n = g.n
     deg = [len(a) for a in g.adj]
     best = 1

