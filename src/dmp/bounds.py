@@ -386,11 +386,12 @@ def _run_trial(config: CampaignConfig, trial: int, limits: SearchLimits | None):
     spec = THEOREMS[config.theorem]
     tseed = _trial_seed(config.seed, trial)
     g = random_graph(config.model, tseed)
-    if spec.needs_partner:
-        targets = [random_graph(config.model, tseed + 1)]
+    rng = random.Random(tseed ^ 0x5EED)  # the trial's own target stream
+    if spec.needs_partner:  # drawn apart from every trial's graph
+        targets = [random_graph(config.model, rng.getrandbits(63))]
     else:
         sample = config.target_policy[1] if config.target_policy else None
-        targets = spec.targets(g, random.Random(tseed ^ 0x5EED), sample)
+        targets = spec.targets(g, rng, sample)
     if not targets or spec.hypothesis(g, tuple(targets)) is not None:
         return None
     return _evaluate(spec, g, targets, limits, config.seed, trial)[0]

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 invalid input or flags, 2 verification mismatch or
 bound violation, 3 solver budget exceeded.  The env var DMP_NODE_BUDGET, a
-positive integer, overrides the solver's node budget.
+positive integer by the integer flags' rule, overrides the solver's node budget.
 """
 
 from __future__ import annotations
@@ -25,6 +25,14 @@ def _int(raw: str) -> int:
     return int(raw)
 
 
+def _float(raw: str) -> float:
+    """A float flag value: an optional '-', ASCII digits with at most one '.', and an
+    optional exponent."""
+    if re.fullmatch(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?", raw) is None:
+        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}")
+    return float(raw)
+
+
 # --op names: the operation kinds, with cartesian-product spelled "cartesian"
 _OP_NAMES = {("cartesian" if k == "cartesian-product" else k): k for k in ops.OP_KINDS}
 # construct flags: the catalog's parameter names, in order of first appearance
@@ -33,7 +41,7 @@ _CATALOG_PARAMS = tuple(dict.fromkeys(
 # verify model flags: every model's field names, in order of first appearance, with
 # their types (bounds postpones annotations, so a field's type is its name)
 _MODEL_FLAGS = {
-    f.name: {"int": _int, "float": float}[f.type]
+    f.name: {"int": _int, "float": _float}[f.type]
     for cls in bounds.MODELS.values() for f in fields(cls)
 }
 
@@ -48,8 +56,8 @@ def _limits() -> SearchLimits:
     if raw is None:
         return SearchLimits()
     try:
-        return SearchLimits(node_budget=int(raw))
-    except ValueError:  # not an integer, or below 1
+        return SearchLimits(node_budget=_int(raw))
+    except (argparse.ArgumentTypeError, ValueError):  # not an integer, or below 1
         raise ValueError(f"DMP_NODE_BUDGET must be a positive integer, got {raw!r}") from None
 
 

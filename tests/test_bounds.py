@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dmp.graph import from_edge_list, is_connected, is_triangle_free, is_tree
+from dmp import bounds
 from dmp.constructions import complete_graph, generate, path_graph
 from dmp.bounds import (
     CSV_HEADER,
@@ -216,6 +217,19 @@ def test_csv_rows_carry_fractions():
     row = rec.csv_row()
     assert row.startswith("edge_add,0,0,")
     assert ",4/3," in row and row.endswith(",9,true,false,true")
+
+
+def test_partner_is_drawn_apart_from_every_trial_graph(monkeypatch):
+    # each trial draws its graph and its partner: no seed may repeat across trials
+    seeds = []
+
+    def recording(model, seed):
+        seeds.append(seed)
+        return random_graph(model, seed)
+
+    monkeypatch.setattr(bounds, "random_graph", recording)
+    run_campaign(CampaignConfig("join", Gnp(4, 0.5), trials=30, seed=7))
+    assert len(seeds) == 60 and len(set(seeds)) == 60
 
 
 def test_lower_never_exceeds_upper_on_campaign_records():

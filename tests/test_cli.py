@@ -49,7 +49,7 @@ def test_mp_budget_exceeded_exits_3(tmp_path, monkeypatch):
     assert main(["mp", path]) == 3
 
 
-@pytest.mark.parametrize("raw", ["lots", "0", "-5"])
+@pytest.mark.parametrize("raw", ["lots", "0", "-5", "1_000", "+50", " 7", "\u0661\u0660\u0660"])
 def test_mp_bad_budget_env_exits_1(tmp_path, monkeypatch, capsys, raw):
     monkeypatch.setenv("DMP_NODE_BUDGET", raw)
     path = _write(tmp_path, "p3.txt", path_graph(3))
@@ -210,6 +210,23 @@ def test_verify_json_report(tmp_path):
     obj = json.loads(report.read_text())
     assert obj["summary"]["failures"] == 0
     assert len(obj["records"]) == obj["summary"]["records"]
+
+
+@pytest.mark.parametrize("raw", ["\u0660.\u0665", "0_5", " 0.5"],
+                         ids=["arabic", "underscore", "space"])
+def test_verify_float_flag_takes_ascii_digits_only(raw, capsys):
+    assert main(["verify", "--theorem", "edge_add", "--model", "gnp", "--n", "4",
+                 "--p", raw, "--trials", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: argument --p: invalid float value: {raw!r}\n"
+
+
+@pytest.mark.parametrize("raw, p", [("0.3", "0.3"), (".5", "0.5"), ("1e-1", "0.1")])
+def test_verify_float_flag_accepts_plain_decimals(raw, p, capsys):
+    assert main(["verify", "--theorem", "edge_add", "--model", "gnp", "--n", "4",
+                 "--p", raw, "--trials", "2"]) == 0
+    assert f" model=gnp(n=4;p={p}) " in capsys.readouterr().out
 
 
 def test_verify_incompatible_model_exits_1():

@@ -52,9 +52,9 @@ GOLDEN_CSV_SHA256 = {
     "tree_leaf_delete": (RandomTree(12),
                          "cd8005cd9307463cc060f38a57912e6191846b76b985c46da51392941c8a2096"),
     "cartesian_product": (Gnp(4, 0.6),
-                          "39e87532079d899c6c6c5ecb11a25a7c48a7eb96aeb718279fa46a5f5b29d7d6"),
+                          "e81125e666819e13fc2cd460e1c02f093798858d09aa6717850dad4610605c64"),
     "join": (Gnp(5, 0.5),
-             "54fdfa9242eaad56719975f54e6f5e9237ab54b21e7bd523fd4d4a3415464354"),
+             "5f24c9e7af6288d757c2e1cab952793b5b77a234e2c6e1c26c085f654fc1e76a"),
 }
 
 
@@ -76,12 +76,12 @@ GOLDEN_JSON_SHA256 = {
     "vertex_delete_general": "9310616e214ae2d2622fc5435f690bf93e322aeb64f94906e4d94cc9c8bed080",
     "tree_leaf_add": "512532b16c5c62d43ad3b5d46793a17cb190dda57304118c886d356fce02ef05",
     "tree_leaf_delete": "a221f3061f30523f03cc0e2c4fb2f104ecb23e186edc24204dad5e0d45082044",
-    "cartesian_product": "cf5a21ca74364ff0402ae629a39c5ef9e7e9f8026b97f2794149b8b8d2a8e8cc",
-    "join": "9a6c2df8597b190ac07eeafdc2b30255ba414f88dc3db16b4453d217b9baee29",
+    "cartesian_product": "81750ecbc611003d8bf70ac7289cd9b8da8d26480393192205fa212829b142d9",
+    "join": "ffbc894491e55083fe83361a8b7a28733344845cc08f8a7049de59a399c54b9f",
 }
 
 # sha256 of every theorem's CSV, in GOLDEN_CSV_SHA256 order, under ("sample", 3)
-GOLDEN_SAMPLED_CSV_SHA256 = "62f2080156dc428e7af2494781cac80d74a71ae0310d3410ea3d3fc843812e93"
+GOLDEN_SAMPLED_CSV_SHA256 = "152d5256114cae77f5771ac0da3c7b4980355f2442656c3375503f6cf6eff3df"
 
 
 @pytest.mark.parametrize("tid", sorted(GOLDEN_JSON_SHA256))
@@ -307,3 +307,23 @@ def test_readme_cli_synopsis_lists_every_option(cmd, capsys):
     assert options
     missing = [o for o in sorted(options) if not re.search(rf"{o}(?![\w-])", synopsis)]
     assert missing == []
+
+
+def test_readme_examples_run_as_printed(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    exec(readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0], {})
+    block = readme.split("Examples:\n\n```\n", 1)[1].split("```", 1)[0]
+    # each "$ dmp ..." line, then the lines it prints; "..." ends a printed prefix
+    examples = re.findall(r"^\$ dmp (.*)\n((?:(?!\$ ).*\n)*)", block, re.MULTILINE)
+    assert len(examples) == 4
+    monkeypatch.chdir(tmp_path)
+    for command, printed in examples:
+        assert cli.main(command.split()) == 0, command
+        lines = capsys.readouterr().out.splitlines()
+        expected = printed.splitlines()
+        assert len(lines) == len(expected), command
+        for line, want in zip(lines, expected):
+            if want.endswith("..."):
+                assert line.startswith(want[:-3]), command
+            else:
+                assert line == want, command
