@@ -20,6 +20,7 @@ from .solver import (
     MonotonePath,
     MpResult,
     SearchLimits,
+    SearchStats,
     is_degree_monotone,
     mp_exact,
     mp_oracle,

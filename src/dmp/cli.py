@@ -85,6 +85,11 @@ def _cmd_mp(args) -> int:
     if args.witness:
         print("witness=" + ",".join(str(v) for v in res.witness.vertices))
         print("direction=non-decreasing")
+    if args.stats:
+        st = res.stats
+        print(f"nodes={st.nodes} components={st.components} "
+              f"largest_component={st.largest_component} seconds={st.seconds:.6f}",
+              file=sys.stderr)
     return 0
 
 
@@ -233,6 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     p_mp.add_argument("input")
     p_mp.add_argument("--format", choices=["auto", "edgelist", "json"], default="auto")
     p_mp.add_argument("--witness", action="store_true")
+    p_mp.add_argument("--stats", action="store_true", help="print search statistics on stderr")
 
     p_op = sub.add_parser("op", help="apply an operation and report mp before/after")
     p_op.add_argument("input")

@@ -4,28 +4,40 @@ A path is degree monotone when the host-graph degrees along it are
 non-decreasing or non-increasing; mp(G) counts the vertices of a longest
 such path.  Two routes are provided:
 
-* ``mp_exact``      branch and bound, exact for any graph, with a witness;
+* ``mp_exact``      degree-class decomposition with an in-component search,
+                    exact for any graph, with a witness;
 * ``mp_oracle``     exhaustive dynamic program over (vertex set, endpoint)
                     states, for independent verification on small graphs.
 
 Only non-decreasing paths are searched by the solver: reversing a
 non-increasing path yields a non-decreasing one, so the two maxima agree.
 
-``mp_exact`` is a depth-first search with an explicit stack, so path length
-is not limited by Python's recursion limit.  Its optimistic bound for a
-partial path is the path length plus the number of vertices off the path
-whose degree is at least deg(end).  Degrees never fall along the path, so
-the path vertices of degree >= deg(end) are exactly its last run of equal
-degrees, and the bound is ``lower + total_ge[deg(end)]``: ``lower`` counts
-the path vertices of degree below deg(end), ``total_ge[d]`` the vertices of
-degree >= d.  Each stack frame carries its own ``lower``, so the bound costs
-O(1) per node.
+A non-decreasing path is a chain of maximal equal-degree segments.  Each
+segment is a simple path inside one connected component of ``G[V_d]``, the
+subgraph on the vertices of degree d, and consecutive segments are joined by
+an edge whose degree strictly increases.  ``mp_exact`` therefore takes the
+components in ascending degree (ties by smallest vertex id) and searches
+each one once.  ``feed[v]`` is the vertex count of the longest path ending at
+a lower-degree neighbour of v; it is final before v's component is reached,
+and a path that enters the component at a has ``feed[a] + 1`` vertices.
+
+Inside a component C the search is a depth-first search with an explicit
+stack, so path length is not limited by Python's recursion limit.  It runs
+over equal-degree neighbours only, from each start a in descending
+``feed[a]`` (then ascending id).  Every path it reaches raises the global
+best and ``feed[h]`` of each higher-degree neighbour h of its end.  No path
+from a can have more than ``feed[a] + |C|`` vertices, so the component is
+finished once that is at most its floor: ``min(feed[h])`` over the vertices
+h adjacent to C from above, or the global best when there are none.  A
+single-vertex component needs no search.  The witness is rebuilt from one
+link per path end that raised a feed: the segment ending there, and the end
+that fed the segment's start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate
+import time
+from dataclasses import dataclass, field
 
 from .graph import Graph
 
@@ -51,9 +63,18 @@ class MonotonePath:
 
 
 @dataclass(frozen=True)
+class SearchStats:
+    nodes: int  # vertices pushed by the in-component search
+    components: int  # connected components of equal-degree vertices
+    largest_component: int  # vertices in the largest of them
+    seconds: float
+
+
+@dataclass(frozen=True)
 class MpResult:
     value: int
     witness: MonotonePath
+    stats: SearchStats | None = field(default=None, compare=False)
 
 
 def is_degree_monotone(g: Graph, vertices: list[int] | tuple[int, ...]) -> bool:
@@ -75,67 +96,119 @@ def is_degree_monotone(g: Graph, vertices: list[int] | tuple[int, ...]) -> bool:
 
 
 def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
-    """Exact mp(G) by branch and bound over non-decreasing paths.
+    """Exact mp(G) by degree-class decomposition over non-decreasing paths.
 
-    Starts go in ascending (degree, id) order and extensions in ascending id
-    order, so the result is deterministic.  Raises BudgetExceededError when
-    the node budget runs out; a wrong value is never returned.
+    One node is one vertex pushed by the search inside an equal-degree
+    component; a single-vertex component costs none.  Components, starts and
+    extensions go in a fixed order, so the result is deterministic.  Raises
+    BudgetExceededError when the node budget runs out; a wrong value is never
+    returned.
     """
     if g.n < 1:
         raise ValueError("mp is undefined for the empty graph")
     budget = (limits or SearchLimits()).node_budget
+    started = time.perf_counter()
+    n = g.n
     deg = [len(a) for a in g.adj]
+    same: list[list[int]] = [[] for _ in range(n)]  # equal-degree neighbours
+    up: list[list[int]] = [[] for _ in range(n)]  # higher-degree neighbours
+    for v, d in enumerate(deg):
+        for w in g.adj[v]:
+            if deg[w] == d:
+                same[v].append(w)
+            elif deg[w] > d:
+                up[v].append(w)
 
-    # neighbors that can extend a non-decreasing path, ascending id
-    up_nbrs = [sorted(w for w in g.adj[v] if deg[w] >= deg[v]) for v in range(g.n)]
-
-    # total_ge[d] = number of vertices with degree >= d
-    counts = [0] * (max(deg) + 2)
-    for d in deg:
-        counts[d] += 1
-    total_ge = list(accumulate(reversed(counts)))[::-1]
-
-    on_path = [False] * g.n
+    feed = [0] * n
+    feed_src: list[int | None] = [None] * n  # the path end that set feed[v]
+    link: dict[int, tuple] = {}  # w -> (segment ending at w, feed_src of its start)
+    best_len, best = 0, ((), None)  # the best path's last segment, and link key
+    placed = [False] * n
+    on_path = [False] * n
     path: list[int] = []
-    best_path: tuple[int, ...] = ()
-    best_len = nodes = 0
+    nodes = components = 0
+    largest = 1
 
-    for w in sorted(range(g.n), key=lambda x: (deg[x], x)):
-        # a start at w can reach at most total_ge[deg[w]] vertices
-        if total_ge[deg[w]] <= best_len:
+    for first in sorted(range(n), key=deg.__getitem__):  # stable: ties by id
+        if placed[first]:
             continue
-        stack, lower = [], 0  # one frame (up-neighbors left, lower) per path vertex
-        while True:  # push w, then find the next w or finish this start
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    f"node budget {budget} exceeded at path length {len(path)}"
-                )
-            on_path[w] = True
-            path.append(w)
-            if len(path) > best_len:
-                best_len = len(path)
-                best_path = tuple(path)
-            if lower + total_ge[deg[w]] > best_len:
-                stack.append((iter(up_nbrs[w]), lower))
-            else:
-                on_path[path.pop()] = False
-            while stack:  # next w: an up-neighbor off the path, or backtrack
-                nbrs, lower = stack[-1]
-                for w in nbrs:
-                    if not on_path[w]:
-                        break
-                else:
-                    stack.pop()
-                    on_path[path.pop()] = False
-                    continue
-                if deg[w] > deg[path[-1]]:
-                    lower = len(path)
-                break
-            else:
-                break
+        placed[first] = True
+        components += 1
+        if not same[first]:  # a single-vertex component needs no search
+            val, pred = feed[first] + 1, feed_src[first]
+            if val > best_len:
+                best_len, best = val, ((first,), pred)
+            for h in up[first]:
+                if feed[h] < val:
+                    feed[h], feed_src[h] = val, first
+                    link[first] = ((first,), pred)
+            continue
+        comp = [first]
+        for v in comp:
+            same[v].sort()
+            for w in same[v]:
+                if not placed[w]:
+                    placed[w] = True
+                    comp.append(w)
+        size = len(comp)
+        largest = max(largest, size)
+        exits = {h for v in comp for h in up[v]}
+        floor = min([feed[h] for h in exits], default=best_len)
 
-    return MpResult(best_len, MonotonePath(best_path))
+        for a in sorted(comp, key=lambda v: (-feed[v], v)):
+            base, pred = feed[a], feed_src[a]
+            if base + size <= floor:
+                break
+            stack, w = [], a  # one iterator over equal-degree neighbours per path vertex
+            while True:  # push w, then find the next w or finish this start
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceededError(
+                        f"node budget {budget} exceeded in an equal-degree "
+                        f"component of {size} vertices"
+                    )
+                on_path[w] = True
+                path.append(w)
+                val = base + len(path)
+                changed = val > best_len
+                if changed:
+                    best_len, best = val, (tuple(path), pred)
+                raised = False
+                for h in up[w]:
+                    if feed[h] < val:
+                        feed[h], feed_src[h] = val, w
+                        raised = True
+                if raised:
+                    link[w] = (tuple(path), pred)
+                if changed or raised:
+                    floor = min([feed[h] for h in exits], default=best_len)
+                    if base + size <= floor:
+                        # no path from this start or a later one can raise a value
+                        for v in path:
+                            on_path[v] = False
+                        path.clear()
+                        break
+                stack.append(iter(same[w]))
+                while stack:  # next w: an equal-degree neighbour off the path
+                    for w in stack[-1]:
+                        if not on_path[w]:
+                            break
+                    else:
+                        stack.pop()
+                        on_path[path.pop()] = False
+                        continue
+                    break
+                else:
+                    break
+
+    segment, pred = best
+    segments = [segment]
+    while pred is not None:
+        segment, pred = link[pred]
+        segments.append(segment)
+    vertices = tuple(v for segment in reversed(segments) for v in segment)
+    stats = SearchStats(nodes, components, largest, time.perf_counter() - started)
+    return MpResult(best_len, MonotonePath(vertices), stats)
 
 
 def mp_oracle(g: Graph) -> int:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from dmp.cli import main
@@ -24,6 +26,14 @@ def test_mp_witness(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "mp=4"
     assert out[1].startswith("witness=") and out[2] == "direction=non-decreasing"
+
+
+def test_mp_stats_go_to_stderr(tmp_path, capsys):
+    path = _write(tmp_path, "p5.txt", path_graph(5))
+    assert main(["mp", path, "--stats"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "mp=4\n"
+    assert re.fullmatch(r"nodes=3 components=3 largest_component=3 seconds=\d+\.\d{6}\n", err)
 
 
 def test_mp_single_vertex(tmp_path, capsys):

@@ -137,17 +137,17 @@ def test_budget_below_one_rejected(budget):
 # budget and runs out with one node less.  A change to the search order or
 # the bound moves these numbers, and must do so on purpose.
 NODE_COUNTS = {
-    "cycle_graph(8)": (lambda: cycle_graph(8), 9),
-    "g1_plus(k=4)": (lambda: generate("g1_plus", {"k": 4}).graph, 85),
-    "gnp(40,0.15)#7": (lambda: random_graph(Gnp(40, 0.15), 7), 7095),
-    "gnp(120,0.04)#11": (lambda: random_graph(Gnp(120, 0.04), 11), 18942),
+    "cycle_graph(8)": (lambda: cycle_graph(8), 8),
+    "g1_plus(k=4)": (lambda: generate("g1_plus", {"k": 4}).graph, 3),
+    "gnp(40,0.15)#7": (lambda: random_graph(Gnp(40, 0.15), 7), 230),
+    "gnp(120,0.04)#11": (lambda: random_graph(Gnp(120, 0.04), 11), 308),
     "tree8#1 x tree7#2": (
         lambda: cartesian_product(random_graph(RandomTree(8), 1),
                                   random_graph(RandomTree(7), 2)),
-        421),
+        14),
     "gnp(7,0.4)#3 + gnp(7,0.4)#4": (
         lambda: join(random_graph(Gnp(7, 0.4), 3), random_graph(Gnp(7, 0.4), 4)),
-        135),
+        15),
 }
 
 
@@ -217,3 +217,131 @@ def test_fast_path_consistent_on_generated_instances():
         g = generate(name, params).graph
         assert _no_equal_degree_edge(g), name
         assert mp_exact(g).value == _dag_longest_path(g), name
+
+
+def _union(a, b):
+    return from_edge_list(a.n + b.n, a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()])
+
+
+# Instances on which a search over the whole graph, bounded by vertex degree
+# counts alone, needs from half a million to over three million nodes: two
+# disjoint copies of one cubic component, many small classes in a large
+# sparse graph, and a join with large equal-degree classes.  Each entry:
+# (graph, mp, the fewest nodes mp_exact needs).
+HARD_PINS = {
+    "2 x cycle_graph(14) x path_graph(2)": (
+        lambda: _union(cartesian_product(cycle_graph(14), path_graph(2)),
+                       cartesian_product(cycle_graph(14), path_graph(2))),
+        28, 28),
+    "gnp(300,0.03)#1": (lambda: random_graph(Gnp(300, 0.03), 1), 47, 1110),
+    "gnp(8,0.4)#294 + gnp(8,0.4)#1294": (
+        lambda: join(random_graph(Gnp(8, 0.4), 294), random_graph(Gnp(8, 0.4), 1294)),
+        12, 24),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARD_PINS))
+def test_hard_instance_is_pinned(name):
+    make, value, nodes = HARD_PINS[name]
+    g = make()
+    res = mp_exact(g, SearchLimits(node_budget=nodes))
+    assert res.value == value
+    assert is_degree_monotone(g, res.witness.vertices)
+    with pytest.raises(BudgetExceededError):
+        mp_exact(g, SearchLimits(node_budget=nodes - 1))
+
+
+@pytest.mark.parametrize("name", sorted(NODE_COUNTS) + sorted(HARD_PINS))
+def test_stats_count_the_pinned_nodes(name):
+    make, *_, nodes = NODE_COUNTS.get(name) or HARD_PINS[name]
+    assert mp_exact(make()).stats.nodes == nodes
+
+
+def test_stats_describe_the_components():
+    # path_graph(5): the two ends are single-vertex classes, the middle one
+    # class of three that the search walks once from vertex 1
+    stats = mp_exact(path_graph(5)).stats
+    assert (stats.nodes, stats.components, stats.largest_component) == (3, 3, 3)
+    assert stats.seconds >= 0
+
+
+def test_budget_on_a_hard_inner_component():
+    # a 30-vertex degree-4 grid class with higher-degree neighbours; its mp
+    # is 43, which a full search reaches in about two million nodes
+    g = cartesian_product(random_graph(RandomTree(8), 19), random_graph(RandomTree(10), 22))
+    with pytest.raises(BudgetExceededError):
+        mp_exact(g, SearchLimits(node_budget=100_000))
+
+
+def _class_dp(g):
+    """mp(G) by a max-plus DP over the reachable (vertex set, end) states of
+    each equal-degree component, lowest degree first, seeded with the longest
+    path entering each vertex from below."""
+    deg = [len(a) for a in g.adj]
+    enter = [1] * g.n  # vertices on the longest path that enters at v
+    best_end = [0] * g.n
+    seen = set()
+    for s in sorted(range(g.n), key=lambda v: deg[v]):
+        if s in seen:
+            continue
+        comp, todo = [], [s]
+        seen.add(s)
+        while todo:
+            v = todo.pop()
+            comp.append(v)
+            for w in g.adj[v]:
+                if deg[w] == deg[v] and w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        bit = {v: 1 << i for i, v in enumerate(comp)}
+        layer = {(bit[v], v): enter[v] for v in comp}  # paths of one vertex
+        while layer:
+            longer = {}
+            for (mask, v), val in layer.items():
+                best_end[v] = max(best_end[v], val)
+                for w in g.adj[v]:
+                    if deg[w] == deg[v] and not mask & bit[w]:
+                        key = (mask | bit[w], w)
+                        longer[key] = max(longer.get(key, 0), val + 1)
+            layer = longer
+        for v in comp:
+            for w in g.adj[v]:
+                if deg[w] > deg[v]:
+                    enter[w] = max(enter[w], best_end[v] + 1)
+    return max(best_end)
+
+
+def _cubic_plus_hub(k, p, rng):
+    """A random cubic graph on k vertices (configuration model with
+    rejection), plus a vertex k joined to each vertex with probability p."""
+    while True:
+        points = [v for v in range(k) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(points[::2], points[1::2])}
+        if len(edges) == 3 * k // 2 and all(u != v for u, v in edges):
+            break
+    return from_edge_list(k + 1, sorted(edges) + [(v, k) for v in range(k) if rng.random() < p])
+
+
+def _reference_graphs():
+    rng = random.Random(909)
+    for _ in range(60):
+        yield join(random_graph(Gnp(rng.randint(5, 8), 0.4), rng.getrandbits(32)),
+                   random_graph(Gnp(rng.randint(5, 8), 0.4), rng.getrandbits(32)))
+    for _ in range(40):
+        yield cartesian_product(random_graph(RandomTree(rng.randint(4, 9)), rng.getrandbits(32)),
+                                random_graph(RandomTree(rng.randint(4, 9)), rng.getrandbits(32)))
+    for k in (10, 12, 14, 16) * 4:  # up to about 18k DP states at k = 16, p = 1
+        yield _cubic_plus_hub(k, rng.choice((0.5, 1.0)), rng)
+    for _ in range(24):
+        yield random_graph(Gnp(rng.randint(60, 120), rng.choice((0.03, 0.04, 0.05))),
+                           rng.getrandbits(32))
+
+
+# Beyond mp_oracle's size: the DP above computes each component's longest
+# entry-to-end paths by dynamic programming instead of search.
+def test_exact_matches_class_dp_beyond_oracle_size():
+    for g in _reference_graphs():
+        res = mp_exact(g)
+        assert res.value == _class_dp(g)
+        assert is_degree_monotone(g, res.witness.vertices)
