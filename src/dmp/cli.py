@@ -73,9 +73,15 @@ def _read_graph(path: str, fmt: str) -> gr.Graph:
     return gr.parse_graph_text(text)
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
+
+
 def _write_graph(g: gr.Graph, path: str, as_json: bool) -> None:
-    text = gr.to_json_text(g) + "\n" if as_json else gr.to_edge_list_text(g)
-    Path(path).write_text(text)
+    _write_text(path, gr.to_json_text(g) + "\n" if as_json else gr.to_edge_list_text(g))
 
 
 def _cmd_mp(args) -> int:
@@ -180,7 +186,8 @@ def _cmd_verify(args) -> int:
     )
     records, summary = bounds.run_campaign(config, _limits(), jobs=args.jobs)
     if args.report:
-        Path(args.report).write_text(
+        _write_text(
+            args.report,
             bounds.records_to_json(records, summary)
             if args.json
             else bounds.records_to_csv(records)

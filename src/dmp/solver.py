@@ -29,9 +29,9 @@ best and ``feed[h]`` of each higher-degree neighbour h of its end.  No path
 from a can have more than ``feed[a] + |C|`` vertices, so the component is
 finished once that is at most its floor: ``min(feed[h])`` over the vertices
 h adjacent to C from above, or the global best when there are none.  A
-single-vertex component needs no search.  The witness is rebuilt from one
-link per path end that raised a feed: the segment ending there, and the end
-that fed the segment's start.
+single-vertex component needs no search.  ``into[h]`` is the segment whose
+end set ``feed[h]``; the witness is the best segment, then ``into`` of each
+start in turn.  The best path is copied once: a long path costs linear time.
 """
 
 from __future__ import annotations
@@ -120,9 +120,8 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
                 up[v].append(w)
 
     feed = [0] * n
-    feed_src: list[int | None] = [None] * n  # the path end that set feed[v]
-    link: dict[int, tuple] = {}  # w -> (segment ending at w, feed_src of its start)
-    best_len, best = 0, ((), None)  # the best path's last segment, and link key
+    into: list[tuple | None] = [None] * n  # the segment whose end set feed[v]
+    best_len, best = 0, ()  # the best path's last segment; None: the current path
     placed = [False] * n
     on_path = [False] * n
     path: list[int] = []
@@ -135,13 +134,12 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
         placed[first] = True
         components += 1
         if not same[first]:  # a single-vertex component needs no search
-            val, pred = feed[first] + 1, feed_src[first]
+            val, segment = feed[first] + 1, (first,)
             if val > best_len:
-                best_len, best = val, ((first,), pred)
+                best_len, best = val, segment
             for h in up[first]:
                 if feed[h] < val:
-                    feed[h], feed_src[h] = val, first
-                    link[first] = ((first,), pred)
+                    feed[h], into[h] = val, segment
             continue
         comp = [first]
         for v in comp:
@@ -156,7 +154,7 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
         floor = min([feed[h] for h in exits], default=best_len)
 
         for a in sorted(comp, key=lambda v: (-feed[v], v)):
-            base, pred = feed[a], feed_src[a]
+            base = feed[a]
             if base + size <= floor:
                 break
             stack, w = [], a  # one iterator over equal-degree neighbours per path vertex
@@ -172,18 +170,18 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
                 val = base + len(path)
                 changed = val > best_len
                 if changed:
-                    best_len, best = val, (tuple(path), pred)
-                raised = False
+                    best_len, best = val, None  # copied before the path shrinks
+                segment = None
                 for h in up[w]:
                     if feed[h] < val:
-                        feed[h], feed_src[h] = val, w
-                        raised = True
-                if raised:
-                    link[w] = (tuple(path), pred)
-                if changed or raised:
+                        segment = segment or tuple(path)
+                        feed[h], into[h] = val, segment
+                if changed or segment:
                     floor = min([feed[h] for h in exits], default=best_len)
                     if base + size <= floor:
                         # no path from this start or a later one can raise a value
+                        if best is None:
+                            best = tuple(path)
                         for v in path:
                             on_path[v] = False
                         path.clear()
@@ -194,6 +192,8 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
                         if not on_path[w]:
                             break
                     else:
+                        if best is None:
+                            best = tuple(path)
                         stack.pop()
                         on_path[path.pop()] = False
                         continue
@@ -201,11 +201,10 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
                 else:
                     break
 
-    segment, pred = best
-    segments = [segment]
-    while pred is not None:
-        segment, pred = link[pred]
-        segments.append(segment)
+    segments = []
+    while best:  # each segment's start was fed by the segment before it
+        segments.append(best)
+        best = into[best[0]]
     vertices = tuple(v for segment in reversed(segments) for v in segment)
     stats = SearchStats(nodes, components, largest, time.perf_counter() - started)
     return MpResult(best_len, MonotonePath(vertices), stats)

@@ -239,6 +239,22 @@ def test_verify_float_flag_accepts_plain_decimals(raw, p, capsys):
     assert f" model=gnp(n=4;p={p}) " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [
+    ["op", "GRAPH", "--op", "add-edge", "--u", "0", "--v", "2", "--out", "OUT"],
+    ["construct", "--family", "path", "--n", "4", "--out", "OUT"],
+    ["construct", "--family", "product_star_star", "--m", "3", "--partner-out", "OUT"],
+    ["verify", "--theorem", "edge_add", "--model", "gnp", "--n", "4", "--p", "0.5",
+     "--trials", "2", "--report", "OUT"],
+], ids=["op-out", "construct-out", "construct-partner-out", "verify-report"])
+def test_write_to_a_missing_directory_exits_1(flags, tmp_path, capsys):
+    graph = _write(tmp_path, "p4.txt", path_graph(4))
+    out = str(tmp_path / "missing" / "out.txt")
+    assert main([{"GRAPH": graph, "OUT": out}.get(f, f) for f in flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_incompatible_model_exits_1():
     assert main(["verify", "--theorem", "tree_leaf_add", "--model", "gnp",
                  "--n", "8", "--p", "0.3", "--trials", "5"]) == 1

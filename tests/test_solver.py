@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,10 +8,12 @@ from dmp.bounds import Gnp, RandomTree, random_graph
 from dmp.graph import from_edge_list
 from dmp.operations import cartesian_product, join
 from dmp.constructions import (
+    apply_designated,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     generate,
+    list_families,
     path_graph,
     star_graph,
 )
@@ -50,6 +53,16 @@ def test_is_degree_monotone_rejects_bad_input():
 @pytest.mark.parametrize("n", [3, 5, 9, 1200, 5000])
 def test_mp_path(n):
     assert mp_exact(path_graph(n)).value == n - 1
+
+
+def test_long_equal_degree_path_takes_linear_time():
+    # the 99,998 inner vertices form one class, and every push is a new best:
+    # a copy of the path at each of them would make the search quadratic
+    g = path_graph(100_000)
+    res = mp_exact(g)
+    assert res.value == len(res.witness.vertices) == 99_999
+    assert is_degree_monotone(g, res.witness.vertices)
+    assert res.stats.seconds < 10
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
@@ -345,3 +358,43 @@ def test_exact_matches_class_dp_beyond_oracle_size():
         res = mp_exact(g)
         assert res.value == _class_dp(g)
         assert is_degree_monotone(g, res.witness.vertices)
+
+
+# sha256 over the witnesses of _witness_graphs, see _witness_digest
+WITNESS_DIGEST = "3f1a35d21f844eaf90a42a86d489f790b8af2bf20a84d14590c35c40faceb770"
+
+
+def _witness_graphs():
+    for name in sorted(NODE_COUNTS):
+        yield NODE_COUNTS[name][0]()
+    for name in sorted(HARD_PINS):
+        yield HARD_PINS[name][0]()
+    for info in list_families():
+        for off in range(3):
+            inst = generate(info.name, {name: lo + off for name, lo in info.params})
+            yield inst.graph
+            yield apply_designated(inst)
+    rng = random.Random(1010)
+    for _ in range(40):
+        yield random_graph(Gnp(rng.randint(5, 60), rng.choice((0.05, 0.1, 0.2, 0.4))),
+                           rng.getrandbits(32))
+    for _ in range(30):
+        yield cartesian_product(random_graph(RandomTree(rng.randint(3, 9)), rng.getrandbits(32)),
+                                random_graph(RandomTree(rng.randint(3, 9)), rng.getrandbits(32)))
+    for _ in range(30):
+        yield join(random_graph(Gnp(rng.randint(3, 8), 0.4), rng.getrandbits(32)),
+                   random_graph(Gnp(rng.randint(3, 8), 0.4), rng.getrandbits(32)))
+
+
+def _witness_digest() -> str:
+    h = hashlib.sha256()
+    for g in _witness_graphs():
+        h.update(repr(mp_exact(g).witness.vertices).encode())
+    return h.hexdigest()
+
+
+def test_witness_digest_is_pinned():
+    # which longest path mp_exact returns is fixed by its search order and
+    # witness links; record a new digest only on purpose, and say so in
+    # CHANGES.md
+    assert _witness_digest() == WITNESS_DIGEST
