@@ -1,10 +1,12 @@
 """Machine-checkable bound theorems and randomized verification campaigns.
 
 Each TheoremSpec pins one proven inequality relating mp before and after an
-operation.  Bounds are evaluated in exact rational arithmetic: a check
-passes iff lower <= mp_after <= upper as Fractions, and tightness flags
-record equality with either end.  All bound violations indicate an
-implementation defect, since the inequalities are proven.
+operation.  Bounds are exact rationals: a check passes iff
+lower <= mp_after <= upper, and tightness flags record equality with either
+end.  Since mp_after is an integer, each trial compares it with ceil(lower)
+and floor(upper), with no Fraction arithmetic per record.  All bound
+violations indicate an implementation defect, since the inequalities are
+proven.
 
 A campaign draws graphs from a random model, one row of ``MODELS`` per
 model, and checks in each graph the targets its theorem row's ``targets``
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache, partial
 from heapq import heapify, heappop, heappush
+from math import ceil, floor
 from typing import ClassVar
 
 from .graph import Graph, from_edge_list, is_connected, is_tree, is_triangle_free
@@ -216,6 +219,12 @@ def _evaluate(
         (partner,) = targets
         mp_p, n_p = mp_exact(partner, limits).value, partner.n
     lower, upper = map(Fraction, spec.bounds(mp_before, g.n, mp_p, n_p))
+    # mp_after is an integer: lower <= mp_after iff ceil(lower) <= mp_after, and
+    # it can equal an end only when that end is integral
+    low, high = ceil(lower), floor(upper)
+    low_end = low if low == lower else None
+    high_end = high if high == upper else None
+    m = g.m
     records = []
     for target, after in zip(targets, afters):
         mp_after = mp_exact(after, limits).value
@@ -224,15 +233,15 @@ def _evaluate(
             seed=seed,
             trial=trial,
             n=g.n,
-            m=g.m,
+            m=m,
             target=ops.describe_target(spec.operation, target),
             mp_before=mp_before,
             mp_after=mp_after,
             lower=lower,
             upper=upper,
-            passed=lower <= mp_after <= upper,
-            tight_low=mp_after == lower,
-            tight_high=mp_after == upper,
+            passed=low <= mp_after <= high,
+            tight_low=mp_after == low_end,
+            tight_high=mp_after == high_end,
         ))
     return records, afters
 

@@ -80,6 +80,18 @@ def _write_text(path: str, text: str) -> None:
         raise ValueError(f"cannot write {path}: {exc}") from None
 
 
+def _check_writable(path: str) -> None:
+    """Raise _write_text's error now if ``path`` cannot be written; create nothing."""
+    target = Path(path)
+    existed = target.exists()
+    try:
+        target.open("a").close()
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
+    if not existed:
+        target.unlink()
+
+
 def _write_graph(g: gr.Graph, path: str, as_json: bool) -> None:
     _write_text(path, gr.to_json_text(g) + "\n" if as_json else gr.to_edge_list_text(g))
 
@@ -184,6 +196,8 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         target_policy=("sample", args.sample) if args.sample is not None else None,
     )
+    if args.report:  # a report that cannot be written fails before the first trial
+        _check_writable(args.report)
     records, summary = bounds.run_campaign(config, _limits(), jobs=args.jobs)
     if args.report:
         _write_text(

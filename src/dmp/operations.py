@@ -1,17 +1,21 @@
 """The eight graph transformations: edge add/delete/subdivide/contract,
 vertex add/delete, Cartesian product and join.
 
-All operations are pure and return new graphs.  Operations that remove or
-merge vertices re-index densely and also return an old-to-new id map.
-Product vertices are indexed (a, b) -> a * h.n + b.  ``apply`` dispatches
-by operation name, the one dispatch every caller goes through; its table also
-says what kind of target each operation takes: an edge (u, v), a vertex, the
-neighbors of a new vertex as a tuple, or a partner graph.
+All operations are pure and return new graphs.  Each result's adjacency is
+built directly from the parent's: a vertex whose neighbours do not change
+keeps the parent's frozenset, which is safe to share because graphs are
+immutable.  Operations that remove or merge vertices re-index densely and
+also return an old-to-new id map.  Product vertices are indexed
+(a, b) -> a * h.n + b.  ``apply`` dispatches by operation name, the one
+dispatch every caller goes through; its table also says what kind of target
+each operation takes: an edge (u, v), a vertex, the neighbors of a new
+vertex as a tuple, or a partner graph.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, from_edge_list
+# from_edge_list stays importable here: perfbench's tracer patches it per module
+from .graph import Graph, from_edge_list  # noqa: F401
 
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:
@@ -22,26 +26,32 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
         raise ValueError(f"cannot add a loop at vertex {u}")
     if g.has_edge(u, v):
         raise ValueError(f"edge ({u}, {v}) already present")
-    return from_edge_list(g.n, g.edges() + [(u, v)])
+    adj = list(g.adj)
+    adj[u] = adj[u] | {v}
+    adj[v] = adj[v] | {u}
+    return Graph(g.n, tuple(adj))
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
     """Remove the existing edge uv."""
     if not g.has_edge(u, v):
         raise ValueError(f"edge ({u}, {v}) not present")
-    a, b = min(u, v), max(u, v)
-    return from_edge_list(g.n, [e for e in g.edges() if e != (a, b)])
+    adj = list(g.adj)
+    adj[u] = adj[u] - {v}
+    adj[v] = adj[v] - {u}
+    return Graph(g.n, tuple(adj))
 
 
 def subdivide_edge(g: Graph, u: int, v: int) -> Graph:
     """Replace edge uv by a new degree-2 vertex w with edges uw and wv."""
     if not g.has_edge(u, v):
         raise ValueError(f"edge ({u}, {v}) not present")
-    a, b = min(u, v), max(u, v)
     w = g.n
-    edges = [e for e in g.edges() if e != (a, b)]
-    edges.extend([(u, w), (v, w)])
-    return from_edge_list(g.n + 1, edges)
+    adj = list(g.adj)
+    adj[u] = (adj[u] - {v}) | {w}
+    adj[v] = (adj[v] - {u}) | {w}
+    adj.append(frozenset((u, v)))
+    return Graph(g.n + 1, tuple(adj))
 
 
 def contract_edge(g: Graph, u: int, v: int) -> tuple[Graph, dict[int, int]]:
@@ -56,12 +66,12 @@ def contract_edge(g: Graph, u: int, v: int) -> tuple[Graph, dict[int, int]]:
     keep, drop = min(u, v), max(u, v)
     id_map = {old: (old if old < drop else old - 1) for old in range(g.n) if old != drop}
     id_map[drop] = id_map[keep]
-    edges = set()
-    for x, y in g.edges():
-        a, b = id_map[x], id_map[y]
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    return from_edge_list(g.n - 1, sorted(edges)), id_map
+    new_id, merged = id_map.__getitem__, (g.adj[keep] | g.adj[drop]) - {keep, drop}
+    adj = tuple(  # a neighbour of both endpoints sees them collapse to one id
+        frozenset(map(new_id, merged if old == keep else a))
+        for old, a in enumerate(g.adj) if old != drop
+    )
+    return Graph(g.n - 1, adj), id_map
 
 
 def add_vertex(g: Graph, neighbors: list[int] | tuple[int, ...]) -> Graph:
@@ -74,7 +84,11 @@ def add_vertex(g: Graph, neighbors: list[int] | tuple[int, ...]) -> Graph:
         if not 0 <= w < g.n:
             raise ValueError(f"neighbor {w} out of range for n={g.n}")
     new = g.n
-    return from_edge_list(g.n + 1, g.edges() + [(w, new) for w in neighbors])
+    adj = list(g.adj)
+    for w in neighbors:
+        adj[w] = adj[w] | {new}
+    adj.append(frozenset(neighbors))
+    return Graph(g.n + 1, tuple(adj))
 
 
 def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
@@ -84,10 +98,12 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
     if g.n < 2:
         raise ValueError("deleting the last vertex would leave an empty graph")
     id_map = {old: (old if old < v else old - 1) for old in range(g.n) if old != v}
-    edges = [
-        (id_map[x], id_map[y]) for x, y in g.edges() if x != v and y != v
-    ]
-    return from_edge_list(g.n - 1, edges), id_map
+    new_id, nbrs = id_map.__getitem__, g.adj[v]
+    adj = tuple(
+        frozenset(map(new_id, a - {v} if old in nbrs else a))
+        for old, a in enumerate(g.adj) if old != v
+    )
+    return Graph(g.n - 1, adj), id_map
 
 
 def product_index(a: int, b: int, h_n: int) -> int:
@@ -99,14 +115,13 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product: (a,b) ~ (c,d) iff a==c and b~d, or b==d and a~c."""
     if g.n < 1 or h.n < 1:
         raise ValueError("product operands must be non-empty")
-    edges = []
-    for a in range(g.n):
-        for b, d in h.edges():
-            edges.append((product_index(a, b, h.n), product_index(a, d, h.n)))
-    for b in range(h.n):
-        for a, c in g.edges():
-            edges.append((product_index(a, b, h.n), product_index(c, b, h.n)))
-    return from_edge_list(g.n * h.n, edges)
+    hn = h.n
+    adj = []
+    for a, ga in enumerate(g.adj):
+        row, column = a * hn, [c * hn for c in ga]  # offsets of (a, .) and of each (c, .), c ~ a
+        for b, hb in enumerate(h.adj):
+            adj.append(frozenset([row + d for d in hb] + [x + b for x in column]))
+    return Graph(g.n * hn, tuple(adj))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -117,12 +132,10 @@ def join(g: Graph, h: Graph) -> Graph:
     if g.n < 1 or h.n < 1:
         raise ValueError("join operands must be non-empty")
     off = g.n
-    edges = list(g.edges())
-    edges.extend((u + off, v + off) for u, v in h.edges())
-    edges.extend((u, w + off) for u in range(g.n) for w in range(h.n))
-    return from_edge_list(g.n + h.n, edges)
-
-
+    g_ids, h_ids = frozenset(range(off)), frozenset(range(off, off + h.n))
+    adj = [a | h_ids for a in g.adj]
+    adj.extend(g_ids.union([w + off for w in b]) for b in h.adj)
+    return Graph(off + h.n, tuple(adj))
 # One row per operation: the kind of target it takes, and its call.  Each call
 # looks its operation up in the module globals at call time, so a wrapper
 # installed on this module (for tracing, say) also sees calls made through apply.

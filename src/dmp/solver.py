@@ -28,16 +28,19 @@ over equal-degree neighbours only, from each start a in descending
 best and ``feed[h]`` of each higher-degree neighbour h of its end.  No path
 from a can have more than ``feed[a] + |C|`` vertices, so the component is
 finished once that is at most its floor: ``min(feed[h])`` over the vertices
-h adjacent to C from above, or the global best when there are none.  A
-single-vertex component needs no search.  ``into[h]`` is the segment whose
-end set ``feed[h]``; the witness is the best segment, then ``into`` of each
-start in turn.  The best path is copied once: a long path costs linear time.
+h adjacent to C from above, or the global best when there are none.  Feeds
+only grow, so the floor is recomputed only when a raised ``feed[h]`` was at
+the floor, or on a new best when C has no such h.  A single-vertex
+component needs no search.  ``into[h]`` is the segment whose end set
+``feed[h]``; the witness is the best segment, then ``into`` of each start in
+turn.  The best path is copied once: a long path costs linear time.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .graph import Graph
 
@@ -55,6 +58,9 @@ class SearchLimits:
     def __post_init__(self) -> None:
         if self.node_budget < 1:
             raise ValueError(f"node budget must be >= 1, got {self.node_budget}")
+
+
+_DEFAULT_LIMITS = SearchLimits()
 
 
 @dataclass(frozen=True)
@@ -106,18 +112,22 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
     """
     if g.n < 1:
         raise ValueError("mp is undefined for the empty graph")
-    budget = (limits or SearchLimits()).node_budget
+    budget = (limits or _DEFAULT_LIMITS).node_budget
     started = time.perf_counter()
     n = g.n
-    deg = [len(a) for a in g.adj]
-    same: list[list[int]] = [[] for _ in range(n)]  # equal-degree neighbours
-    up: list[list[int]] = [[] for _ in range(n)]  # higher-degree neighbours
-    for v, d in enumerate(deg):
-        for w in g.adj[v]:
-            if deg[w] == d:
-                same[v].append(w)
-            elif deg[w] > d:
-                up[v].append(w)
+    deg = list(map(len, g.adj))
+    same: list[list[int]] = []  # equal-degree neighbours
+    up: list[list[int]] = []  # higher-degree neighbours
+    for a, d in zip(g.adj, deg):
+        level, higher = [], []
+        for w in a:
+            dw = deg[w]
+            if dw == d:
+                level.append(w)
+            elif dw > d:
+                higher.append(w)
+        same.append(level)
+        up.append(higher)
 
     feed = [0] * n
     into: list[tuple | None] = [None] * n  # the segment whose end set feed[v]
@@ -153,7 +163,9 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
         exits = {h for v in comp for h in up[v]}
         floor = min([feed[h] for h in exits], default=best_len)
 
-        for a in sorted(comp, key=lambda v: (-feed[v], v)):
+        order = sorted(comp)
+        order.sort(key=feed.__getitem__, reverse=True)  # stable: ties stay by id
+        for a in order:
             base = feed[a]
             if base + size <= floor:
                 break
@@ -168,15 +180,17 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
                 on_path[w] = True
                 path.append(w)
                 val = base + len(path)
-                changed = val > best_len
-                if changed:
+                moved = False  # whether the floor may have risen
+                if val > best_len:
                     best_len, best = val, None  # copied before the path shrinks
+                    moved = not exits
                 segment = None
                 for h in up[w]:
                     if feed[h] < val:
+                        moved = moved or feed[h] == floor
                         segment = segment or tuple(path)
                         feed[h], into[h] = val, segment
-                if changed or segment:
+                if moved:
                     floor = min([feed[h] for h in exits], default=best_len)
                     if base + size <= floor:
                         # no path from this start or a later one can raise a value
@@ -205,7 +219,7 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
     while best:  # each segment's start was fed by the segment before it
         segments.append(best)
         best = into[best[0]]
-    vertices = tuple(v for segment in reversed(segments) for v in segment)
+    vertices = tuple(chain.from_iterable(reversed(segments)))
     stats = SearchStats(nodes, components, largest, time.perf_counter() - started)
     return MpResult(best_len, MonotonePath(vertices), stats)
 

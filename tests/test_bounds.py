@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -244,3 +245,44 @@ def test_lower_never_exceeds_upper_on_campaign_records():
     ]:
         records, _ = run_campaign(CampaignConfig(tid, model, trials=15, seed=8))
         assert all(r.lower <= r.upper for r in records)
+
+
+_SMALL_CAMPAIGNS = {
+    "edge_add": Gnp(7, 0.3),
+    "edge_delete": Gnp(7, 0.3),
+    "subdivision": Gnp(7, 0.4),
+    "contraction_triangle_free": RandomBipartite(4, 4, 0.5),
+    "tree_leaf_add": RandomTree(8),
+    "tree_leaf_delete": RandomTree(8),
+    "vertex_add_general": Gnp(7, 0.3),
+    "vertex_delete_general": Gnp(7, 0.3),
+    "cartesian_product": RandomTree(4),
+    "join": Gnp(5, 0.5),
+}
+
+
+@pytest.mark.parametrize("tid", list(THEOREMS))
+def test_record_flags_match_the_fraction_comparisons(tid):
+    records, _ = run_campaign(CampaignConfig(tid, _SMALL_CAMPAIGNS[tid], trials=20, seed=5))
+    assert records
+    for r in records:
+        assert isinstance(r.lower, Fraction) and isinstance(r.upper, Fraction)
+        assert r.passed == (r.lower <= Fraction(r.mp_after) <= r.upper)
+        assert r.tight_low == (Fraction(r.mp_after) == r.lower)
+        assert r.tight_high == (Fraction(r.mp_after) == r.upper)
+
+
+@pytest.mark.parametrize("lower, upper, passed", [
+    (Fraction(11, 3), Fraction(9, 2), True),  # ceil and floor are both 4
+    (Fraction(13, 3), Fraction(9, 2), False),  # 4 < 13/3
+    (Fraction(7, 3), Fraction(7, 2), False),  # 4 > 7/2
+    (Fraction(4), Fraction(4), True),  # integral ends: tight at both
+])
+def test_record_flags_on_ends_set_by_hand(monkeypatch, lower, upper, passed):
+    # C4 from P4 by edge_add: mp 3 before and 4 after, under ends set by hand
+    spec = replace(THEOREMS["edge_add"], bounds=lambda mp, n, p, np_: (lower, upper))
+    monkeypatch.setitem(THEOREMS, "edge_add", spec)
+    rec = check_bound("edge_add", path_graph(4), (0, 3))
+    assert (rec.mp_before, rec.mp_after, rec.lower, rec.upper) == (3, 4, lower, upper)
+    assert rec.passed is passed
+    assert rec.tight_low is (lower == 4) and rec.tight_high is (upper == 4)

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from dmp import bounds
 from dmp.cli import main
 from dmp.graph import parse_edge_list_text, parse_json_text, to_edge_list_text
 from dmp.constructions import complete_graph, path_graph
@@ -253,6 +254,35 @@ def test_write_to_a_missing_directory_exits_1(flags, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+_VERIFY_GNP = ["verify", "--theorem", "edge_add", "--model", "gnp", "--n", "8", "--p", "0.5",
+               "--trials", "3", "--seed", "1"]
+
+
+def test_verify_checks_the_report_path_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("run_campaign was called")
+
+    monkeypatch.setattr(bounds, "run_campaign", no_trial)
+    out = str(tmp_path / "missing" / "rep.csv")
+    assert main(_VERIFY_GNP + ["--report", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+def test_verify_over_budget_writes_no_report(tmp_path, monkeypatch):
+    monkeypatch.setenv("DMP_NODE_BUDGET", "1")
+    report = tmp_path / "rep.csv"
+    assert main(_VERIFY_GNP + ["--report", str(report)]) == 3
+    assert not report.exists()
+
+
+def test_verify_over_budget_keeps_an_existing_report(tmp_path, monkeypatch):
+    report = tmp_path / "rep.csv"
+    report.write_text("kept\n")
+    monkeypatch.setenv("DMP_NODE_BUDGET", "1")
+    assert main(_VERIFY_GNP + ["--report", str(report)]) == 3
+    assert report.read_text() == "kept\n"
 
 
 def test_verify_incompatible_model_exits_1():

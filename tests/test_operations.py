@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmp.graph import degree_sequence, from_edge_list, is_triangle_free
 from dmp.constructions import (
@@ -9,6 +10,7 @@ from dmp.constructions import (
     path_graph,
     star_graph,
 )
+from dmp import operations
 from dmp.operations import (
     add_edge,
     add_vertex,
@@ -234,3 +236,68 @@ def test_two_graph_operations_reject_empty_operand():
         cartesian_product(g, empty)
     with pytest.raises(ValueError):
         join(empty, g)
+
+
+# The edge-list constructions: each result written as from_edge_list of the
+# edges the operation adds to, removes from or re-indexes in the input's edges.
+
+def _dense_map(n: int, gone: int) -> dict[int, int]:
+    return {old: (old if old < gone else old - 1) for old in range(n) if old != gone}
+
+
+def _by_edge_list(g, name, target):
+    """(result, id_map or None) of operation ``name`` built from edge lists."""
+    edges = g.edges()
+    if name == "add_edge":
+        return from_edge_list(g.n, edges + [target]), None
+    if name in ("delete_edge", "subdivide_edge"):
+        rest = [e for e in edges if e != (min(target), max(target))]
+        if name == "delete_edge":
+            return from_edge_list(g.n, rest), None
+        return from_edge_list(g.n + 1, rest + [(target[0], g.n), (target[1], g.n)]), None
+    if name == "contract_edge":
+        keep, drop = min(target), max(target)
+        id_map = _dense_map(g.n, drop)
+        id_map[drop] = id_map[keep]
+        merged = {(min(id_map[x], id_map[y]), max(id_map[x], id_map[y])) for x, y in edges}
+        return from_edge_list(g.n - 1, [(a, b) for a, b in merged if a != b]), id_map
+    if name == "add_vertex":
+        return from_edge_list(g.n + 1, edges + [(w, g.n) for w in target]), None
+    if name == "delete_vertex":
+        id_map = _dense_map(g.n, target)
+        kept = [(id_map[x], id_map[y]) for x, y in edges if target not in (x, y)]
+        return from_edge_list(g.n - 1, kept), id_map
+    h, hn = target, target.n
+    if name == "cartesian_product":
+        prod = [(a * hn + b, a * hn + d) for a in range(g.n) for b, d in h.edges()]
+        prod += [(a * hn + b, c * hn + b) for b in range(hn) for a, c in edges]
+        return from_edge_list(g.n * hn, prod), None
+    shifted = [(u + g.n, v + g.n) for u, v in h.edges()]
+    across = [(u, g.n + w) for u in range(g.n) for w in range(hn)]
+    return from_edge_list(g.n + hn, edges + shifted + across), None
+
+
+def _is_simple_adjacency(g) -> bool:
+    adj = g.adj
+    return (type(adj) is tuple and len(adj) == g.n
+            and all(type(a) is frozenset for a in adj)
+            and all(0 <= w < g.n and w != v and v in adj[w] for v, a in enumerate(adj) for w in a))
+
+
+@given(graphs(min_n=1, max_n=7), graphs(min_n=1, max_n=4), st.data())
+@settings(max_examples=60)
+def test_operations_match_the_edge_list_construction(g, h, data):
+    pairs = [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
+    cases = [("add_edge", e) for e in pairs if not g.has_edge(*e)]
+    cases += [(name, e) for e in pairs if g.has_edge(*e)
+              for name in ("delete_edge", "subdivide_edge", "contract_edge")]
+    if g.n >= 2:
+        cases += [("delete_vertex", v) for v in range(g.n)]
+    neighbors = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
+    cases += [("add_vertex", tuple(neighbors)), ("cartesian_product", h), ("join", h)]
+    for name, target in cases:
+        fn = getattr(operations, name)
+        result = fn(g, *target) if name.endswith("_edge") else fn(g, target)
+        graph, id_map = result if isinstance(result, tuple) else (result, None)
+        assert (graph, id_map) == _by_edge_list(g, name, target), (name, target)
+        assert _is_simple_adjacency(graph), (name, target)
