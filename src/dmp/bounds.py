@@ -10,8 +10,10 @@ proven.
 
 A campaign draws graphs from a random model, one row of ``MODELS`` per
 model, and checks in each graph the targets its theorem row's ``targets``
-field lists.  Report columns are the fields of BoundCheckRecord and
-CampaignSummary.
+field lists.  Records and summaries are NamedTuple rows whose fields are the
+report columns, except that the field ``passed`` is the column ``pass``, a
+Python keyword.  Every record of a trial shares the trial's two ends, so the
+summary takes each trial's least slacks once, from its extreme mp_after.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from __future__ import annotations
 import os
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from heapq import heapify, heappop, heappush
 from math import ceil, floor
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from .graph import Graph, from_edge_list, is_connected, is_tree, is_triangle_free
 from . import operations as ops
@@ -160,8 +162,7 @@ def select_theorem(operation: str, g: Graph, target) -> tuple[TheoremSpec | None
     return None, reason
 
 
-@dataclass(frozen=True)
-class BoundCheckRecord:
+class BoundCheckRecord(NamedTuple):
     theorem: str
     seed: int
     trial: int
@@ -172,31 +173,28 @@ class BoundCheckRecord:
     mp_after: int
     lower: Fraction
     upper: Fraction
-    passed: bool = field(metadata={"column": "pass"})
+    passed: bool
     tight_low: bool
     tight_high: bool
 
     def csv_row(self) -> str:
-        values = [getattr(self, name) for name, _ in _columns(BoundCheckRecord)]
-        return ",".join([str(v).lower() if isinstance(v, bool) else str(v) for v in values])
+        return ",".join([str(v).lower() if isinstance(v, bool) else str(v) for v in self])
 
     def json_obj(self) -> dict:
         return _report_fields(self)
 
 
-@cache
-def _columns(cls) -> tuple[tuple[str, str], ...]:
-    """(field name, report column) for each field of a record or summary class."""
-    return tuple((f.name, f.metadata.get("column", f.name)) for f in fields(cls))
+def _column(name: str) -> str:
+    return "pass" if name == "passed" else name
 
 
-def _report_fields(obj) -> dict:
+def _report_fields(row: tuple) -> dict:
     """A record or summary by report column, with Fractions as strings."""
-    values = {column: getattr(obj, name) for name, column in _columns(type(obj))}
-    return {k: str(v) if isinstance(v, Fraction) else v for k, v in values.items()}
+    return {_column(name): str(v) if isinstance(v, Fraction) else v
+            for name, v in zip(row._fields, row)}
 
 
-CSV_HEADER = ",".join(column for _, column in _columns(BoundCheckRecord))
+CSV_HEADER = ",".join(map(_column, BoundCheckRecord._fields))
 
 
 def _evaluate(
@@ -263,6 +261,7 @@ def check_bound(
     spec = THEOREMS[theorem_id]
     if spec.needs_partner and not isinstance(target, Graph):
         raise PreconditionError(f"{theorem_id} needs a partner graph")
+    ops.check_shape(spec.operation, target)
     reason = spec.hypothesis(g, (target,))
     if reason is not None:
         raise PreconditionError(reason)
@@ -372,8 +371,7 @@ class CampaignConfig:
     target_policy: tuple[str, int] | None = None
 
 
-@dataclass(frozen=True)
-class CampaignSummary:
+class CampaignSummary(NamedTuple):
     theorem: str
     trials: int
     records: int
@@ -448,26 +446,25 @@ def run_campaign(
         results = list(map(run_trial, range(config.trials)))
 
     records: list[BoundCheckRecord] = []
-    skipped = 0
+    lo_slacks, hi_slacks = [], []  # one of each per trial that ran
     for res in results:
-        if res is None:
-            skipped += 1
-        else:
+        if res is not None:  # a trial's records share its ends (see _evaluate)
+            afters = [r.mp_after for r in res]
+            lo_slacks.append(min(afters) - res[0].lower)
+            hi_slacks.append(res[0].upper - max(afters))
             records.extend(res)
-    passes = sum(1 for r in records if r.passed)
-    lo_slacks = [r.mp_after - r.lower for r in records]
-    hi_slacks = [r.upper - r.mp_after for r in records]
+    passes = sum(r.passed for r in records)
     summary = CampaignSummary(
         theorem=config.theorem,
         trials=config.trials,
         records=len(records),
         passes=passes,
         failures=len(records) - passes,
-        skipped_trials=skipped,
-        tight_low=sum(1 for r in records if r.tight_low),
-        tight_high=sum(1 for r in records if r.tight_high),
-        min_lower_slack=min(lo_slacks) if lo_slacks else None,
-        min_upper_slack=min(hi_slacks) if hi_slacks else None,
+        skipped_trials=results.count(None),
+        tight_low=sum(r.tight_low for r in records),
+        tight_high=sum(r.tight_high for r in records),
+        min_lower_slack=min(lo_slacks, default=None),
+        min_upper_slack=min(hi_slacks, default=None),
     )
     return records, summary
 

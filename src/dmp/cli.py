@@ -127,9 +127,18 @@ _TARGET_FLAGS = {
 }
 
 
+def _reject_flags(args, flags, takes, owner: str) -> None:
+    """Raise when a flag among ``flags`` that ``owner`` does not take was given."""
+    for flag in flags:
+        if flag not in takes and getattr(args, flag) is not None:
+            raise ValueError(f"{owner} does not take --{flag}")
+
+
 def _op_target(args, op: str):
     """The operation's target, from the flags of its target kind."""
     flags, read = _TARGET_FLAGS[ops.target_kind(op)]
+    every = [f for kind_flags, _ in _TARGET_FLAGS.values() for f in kind_flags]
+    _reject_flags(args, every, flags, f"--op {args.op}")
     if any(getattr(args, flag) is None for flag in flags):
         raise ValueError(f"--op {args.op} needs " + " and ".join(f"--{f}" for f in flags))
     return read(args)
@@ -141,17 +150,18 @@ def _cmd_op(args) -> int:
     limits = _limits()
     target = _op_target(args, op)
     spec, reason = bounds.select_theorem(op, g, target)
+    status = 0
     if spec is None:
         after = ops.apply(op, g, target)
         mp_before, mp_after = mp_exact(g, limits).value, mp_exact(after, limits).value
         print(f"{mp_before} -> {mp_after}, theorem inapplicable ({reason})")
     else:
         (rec,), (after,) = bounds._evaluate(spec, g, [target], limits)
-        verdict = "pass" if rec.passed else "FAIL"
+        verdict, status = ("pass", 0) if rec.passed else ("FAIL", 2)
         print(f"{rec.mp_before} -> {rec.mp_after}, bounds [{rec.lower}, {rec.upper}], {verdict}")
     if args.out:
         _write_graph(after, args.out, args.json)
-    return 0
+    return status
 
 
 def _cmd_construct(args) -> int:
@@ -177,9 +187,7 @@ def _cmd_construct(args) -> int:
 def _make_model(args) -> bounds.Model:
     cls = bounds.MODELS[args.model]
     names = [f.name for f in fields(cls)]
-    for flag in _MODEL_FLAGS:
-        if flag not in names and getattr(args, flag) is not None:
-            raise ValueError(f"{args.model} model does not take --{flag}")
+    _reject_flags(args, _MODEL_FLAGS, names, f"{args.model} model")
     values = [getattr(args, name) for name in names]
     if None in values:
         flags = [f"--{name}" for name in names]

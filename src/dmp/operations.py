@@ -9,7 +9,8 @@ also return an old-to-new id map.  Product vertices are indexed
 (a, b) -> a * h.n + b.  ``apply`` dispatches by operation name, the one
 dispatch every caller goes through; its table also says what kind of target
 each operation takes: an edge (u, v), a vertex, the neighbors of a new
-vertex as a tuple, or a partner graph.
+vertex as a tuple, or a partner graph.  Each kind also has one shape rule,
+and ``apply`` raises ValueError for a target of another shape.
 """
 
 from __future__ import annotations
@@ -153,6 +154,19 @@ _DISPATCH = {
 OP_KINDS = tuple(_DISPATCH)
 
 
+def _ints(t) -> bool:
+    return isinstance(t, (tuple, list)) and all(isinstance(x, int) for x in t)
+
+
+# One shape rule per target kind: what a target of that kind must look like
+_SHAPES = {
+    "edge": ("an edge (u, v)", lambda t: _ints(t) and len(t) == 2),
+    "vertex": ("a vertex", lambda t: isinstance(t, int)),
+    "neighbors": ("a tuple of neighbors", _ints),
+    "partner": ("a partner graph", lambda t: isinstance(t, Graph)),
+}
+
+
 def target_kind(op: str) -> str:
     """What ``op`` takes as its target: "edge", "vertex", "neighbors" or "partner"."""
     if op not in _DISPATCH:
@@ -172,8 +186,15 @@ def describe_target(op: str, target) -> str:
     return f"partner(n={target.n};m={target.m})"
 
 
+def check_shape(op: str, target) -> None:
+    """Raise ValueError unless ``target`` has the shape of ``op``'s target kind."""
+    what, fits = _SHAPES[target_kind(op)]
+    if not fits(target):
+        raise ValueError(f"{op} takes {what}, got {target!r}")
+
+
 def apply(op: str, g: Graph, target) -> Graph:
     """Apply ``op`` to a target of its kind and return the new graph; an unknown
     operation or an invalid target raises ValueError."""
-    target_kind(op)  # rejects an unknown operation
+    check_shape(op, target)
     return _DISPATCH[op][1](g, target)

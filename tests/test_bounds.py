@@ -286,3 +286,61 @@ def test_record_flags_on_ends_set_by_hand(monkeypatch, lower, upper, passed):
     assert (rec.mp_before, rec.mp_after, rec.lower, rec.upper) == (3, 4, lower, upper)
     assert rec.passed is passed
     assert rec.tight_low is (lower == 4) and rec.tight_high is (upper == 4)
+
+
+# one wrong-shaped target per non-partner target kind; a partner theorem given
+# anything but a graph raises PreconditionError (see above)
+@pytest.mark.parametrize("tid, target, message", [
+    ("edge_add", 1, "add-edge takes an edge (u, v), got 1"),
+    ("edge_delete", (0,), "delete-edge takes an edge (u, v), got (0,)"),
+    ("tree_leaf_add", 1, "add-vertex takes a tuple of neighbors, got 1"),
+    ("vertex_add_general", [0.5], "add-vertex takes a tuple of neighbors, got [0.5]"),
+    ("tree_leaf_delete", (1,), "delete-vertex takes a vertex, got (1,)"),
+    ("vertex_delete_general", (1,), "delete-vertex takes a vertex, got (1,)"),
+], ids=["edge_add", "edge_delete", "tree_leaf_add", "vertex_add_general", "tree_leaf_delete",
+        "vertex_delete_general"])
+def test_check_bound_rejects_a_target_of_the_wrong_shape(tid, target, message):
+    with pytest.raises(ValueError) as exc:
+        check_bound(tid, path_graph(3), target)
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
+def test_check_bound_takes_lists_for_edges_and_neighbors():
+    assert check_bound("edge_add", path_graph(4), [0, 3]) == check_bound(
+        "edge_add", path_graph(4), (0, 3))
+    assert check_bound("vertex_add_general", path_graph(4), [0, 3]).passed
+
+
+def _summary_record_by_record(config, records):
+    """The campaign summary with one Fraction slack per record."""
+    passes = sum(1 for r in records if r.passed)
+    lo_slacks = [r.mp_after - r.lower for r in records]
+    hi_slacks = [r.upper - r.mp_after for r in records]
+    return bounds.CampaignSummary(
+        theorem=config.theorem,
+        trials=config.trials,
+        records=len(records),
+        passes=passes,
+        failures=len(records) - passes,
+        skipped_trials=config.trials - len({r.trial for r in records}),
+        tight_low=sum(1 for r in records if r.tight_low),
+        tight_high=sum(1 for r in records if r.tight_high),
+        min_lower_slack=min(lo_slacks) if lo_slacks else None,
+        min_upper_slack=min(hi_slacks) if hi_slacks else None,
+    )
+
+
+# the small campaigns, but with triangles, and so skipped trials, for contraction
+_FOLD_CAMPAIGNS = {**_SMALL_CAMPAIGNS, "contraction_triangle_free": Gnp(7, 0.3)}
+
+
+@pytest.mark.parametrize("tid", list(THEOREMS))
+def test_summary_folds_per_trial_as_per_record(tid):
+    # vertex_add_general checks one neighbor set per trial unless sampled
+    policy = ("sample", 3) if tid == "vertex_add_general" else None
+    config = CampaignConfig(tid, _FOLD_CAMPAIGNS[tid], trials=12, seed=9, target_policy=policy)
+    records, summary = run_campaign(config)
+    assert records and summary == _summary_record_by_record(config, records)
+    assert type(summary.min_lower_slack) is Fraction
+    assert type(summary.min_upper_slack) is Fraction
+    assert run_campaign(config, jobs=2) == (records, summary)

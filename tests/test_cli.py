@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -371,3 +372,34 @@ def test_verify_rejects_sample_below_one(theorem, sample, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: sample must be >= 1, got {sample}\n"
+
+
+def test_op_exits_2_on_a_bound_violation(tmp_path, capsys, monkeypatch):
+    # C4 from P4 by edge_add has mp' = 4, outside ends set by hand to [5, 9]
+    spec = replace(bounds.THEOREMS["edge_add"], bounds=lambda mp, n, p, np_: (5, 9))
+    monkeypatch.setitem(bounds.THEOREMS, "edge_add", spec)
+    path = _write(tmp_path, "p4.txt", path_graph(4))
+    out = tmp_path / "c4.txt"
+    assert main(["op", path, "--op", "add-edge", "--u", "0", "--v", "3",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().out == "3 -> 4, bounds [5, 9], FAIL\n"
+    assert parse_edge_list_text(out.read_text()).m == 4
+
+
+# one case per target kind: the flags of another kind are rejected before any solve
+@pytest.mark.parametrize("flags, message", [
+    (["--op", "add-edge", "--u", "0", "--v", "2", "--vertex", "3", "--neighbors", "1,2"],
+     "--op add-edge does not take --vertex"),
+    (["--op", "delete-vertex", "--vertex", "1", "--u", "0"],
+     "--op delete-vertex does not take --u"),
+    (["--op", "add-vertex", "--neighbors", "0,1", "--partner", "G"],
+     "--op add-vertex does not take --partner"),
+    (["--op", "join", "--partner", "G", "--v", "1"],
+     "--op join does not take --v"),
+], ids=["edge", "vertex", "neighbors", "partner"])
+def test_op_rejects_target_flags_of_another_kind(tmp_path, capsys, flags, message):
+    path = _write(tmp_path, "g.txt", path_graph(4))
+    assert main(["op", path] + [path if a == "G" else a for a in flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -301,3 +301,26 @@ def test_operations_match_the_edge_list_construction(g, h, data):
         graph, id_map = result if isinstance(result, tuple) else (result, None)
         assert (graph, id_map) == _by_edge_list(g, name, target), (name, target)
         assert _is_simple_adjacency(graph), (name, target)
+
+
+# one wrong-shaped target per target kind, and the message apply gives for it
+@pytest.mark.parametrize("op, target, message", [
+    ("add-edge", 1, "add-edge takes an edge (u, v), got 1"),
+    ("contract", (0, 1, 2), "contract takes an edge (u, v), got (0, 1, 2)"),
+    ("delete-vertex", (1,), "delete-vertex takes a vertex, got (1,)"),
+    ("add-vertex", 1, "add-vertex takes a tuple of neighbors, got 1"),
+    ("add-vertex", (0, "1"), "add-vertex takes a tuple of neighbors, got (0, '1')"),
+    ("join", (0, 1), "join takes a partner graph, got (0, 1)"),
+    ("cartesian-product", 3, "cartesian-product takes a partner graph, got 3"),
+], ids=["edge_int", "edge_triple", "vertex_tuple", "neighbors_int", "neighbors_str",
+        "partner_tuple", "partner_int"])
+def test_apply_rejects_a_target_of_the_wrong_shape(op, target, message):
+    with pytest.raises(ValueError) as exc:
+        operations.apply(op, path_graph(3), target)
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
+def test_apply_takes_lists_for_edges_and_neighbors():
+    g = path_graph(3)
+    assert operations.apply("add-edge", g, [0, 2]) == add_edge(g, 0, 2)
+    assert operations.apply("add-vertex", g, [0, 2]) == add_vertex(g, (0, 2))
