@@ -14,6 +14,7 @@ field lists.  Records and summaries are NamedTuple rows whose fields are the
 report columns, except that the field ``passed`` is the column ``pass``, a
 Python keyword.  Every record of a trial shares the trial's two ends, so the
 summary takes each trial's least slacks once, from its extreme mp_after.
+``check_bound`` and ``select_theorem`` check a target's shape before any hypothesis.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ THEOREMS: dict[str, TheoremSpec] = {spec.id: spec for spec in (
 
 def select_theorem(operation: str, g: Graph, target) -> tuple[TheoremSpec | None, str | None]:
     """The most specific theorem for the operation, or None and the reason none applies."""
-    reason = f"unknown operation kind {operation!r}"
+    ops.check_shape(operation, target)
+    reason = None
     for spec in THEOREMS.values():
         if spec.operation == operation:
             reason = spec.hypothesis(g, (target,))

@@ -127,20 +127,24 @@ _TARGET_FLAGS = {
 }
 
 
-def _reject_flags(args, flags, takes, owner: str) -> None:
-    """Raise when a flag among ``flags`` that ``owner`` does not take was given."""
-    for flag in flags:
-        if flag not in takes and getattr(args, flag) is not None:
+def _flag_values(args, flags, every, owner: str) -> list:
+    """The values of ``flags``, the flags ``owner`` takes: a flag among ``every`` that it
+    does not take is rejected first, then the missing ones are named."""
+    for flag in every:
+        if flag not in flags and getattr(args, flag) is not None:
             raise ValueError(f"{owner} does not take --{flag}")
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        *rest, last = [f"--{flag}" for flag in flags]
+        raise ValueError(f"{owner} needs " + (f"{', '.join(rest)} and {last}" if rest else last))
+    return values
 
 
 def _op_target(args, op: str):
     """The operation's target, from the flags of its target kind."""
     flags, read = _TARGET_FLAGS[ops.target_kind(op)]
     every = [f for kind_flags, _ in _TARGET_FLAGS.values() for f in kind_flags]
-    _reject_flags(args, every, flags, f"--op {args.op}")
-    if any(getattr(args, flag) is None for flag in flags):
-        raise ValueError(f"--op {args.op} needs " + " and ".join(f"--{f}" for f in flags))
+    _flag_values(args, flags, every, f"--op {args.op}")
     return read(args)
 
 
@@ -187,13 +191,7 @@ def _cmd_construct(args) -> int:
 def _make_model(args) -> bounds.Model:
     cls = bounds.MODELS[args.model]
     names = [f.name for f in fields(cls)]
-    _reject_flags(args, _MODEL_FLAGS, names, f"{args.model} model")
-    values = [getattr(args, name) for name in names]
-    if None in values:
-        flags = [f"--{name}" for name in names]
-        listed = flags[0] if len(flags) == 1 else ", ".join(flags[:-1]) + " and " + flags[-1]
-        raise ValueError(f"{args.model} model needs {listed}")
-    return cls(*values)
+    return cls(*_flag_values(args, names, _MODEL_FLAGS, f"{args.model} model"))
 
 
 def _cmd_verify(args) -> int:

@@ -9,8 +9,10 @@ also return an old-to-new id map.  Product vertices are indexed
 (a, b) -> a * h.n + b.  ``apply`` dispatches by operation name, the one
 dispatch every caller goes through; its table also says what kind of target
 each operation takes: an edge (u, v), a vertex, the neighbors of a new
-vertex as a tuple, or a partner graph.  Each kind also has one shape rule,
-and ``apply`` raises ValueError for a target of another shape.
+vertex as a tuple, or a partner graph.  Each kind has one row: its name in
+messages, its shape rule and its report text.  ``check_shape`` raises
+ValueError for an unknown operation or a target of another shape; ``apply``
+and the theorem checks in ``bounds`` call it before anything else.
 """
 
 from __future__ import annotations
@@ -158,12 +160,15 @@ def _ints(t) -> bool:
     return isinstance(t, (tuple, list)) and all(isinstance(x, int) for x in t)
 
 
-# One shape rule per target kind: what a target of that kind must look like
-_SHAPES = {
-    "edge": ("an edge (u, v)", lambda t: _ints(t) and len(t) == 2),
-    "vertex": ("a vertex", lambda t: isinstance(t, int)),
-    "neighbors": ("a tuple of neighbors", _ints),
-    "partner": ("a partner graph", lambda t: isinstance(t, Graph)),
+# One row per target kind: its name in messages, its shape rule, and its
+# comma-free report text
+_KINDS = {
+    "edge": ("an edge (u, v)", lambda t: _ints(t) and len(t) == 2,
+             lambda t: f"edge({t[0]}-{t[1]})"),
+    "vertex": ("a vertex", lambda t: isinstance(t, int), lambda t: f"vertex({t})"),
+    "neighbors": ("a tuple of neighbors", _ints, lambda t: f"neighbors({'+'.join(map(str, t))})"),
+    "partner": ("a partner graph", lambda t: isinstance(t, Graph),
+                lambda t: f"partner(n={t.n};m={t.m})"),
 }
 
 
@@ -176,19 +181,12 @@ def target_kind(op: str) -> str:
 
 def describe_target(op: str, target) -> str:
     """Comma-free target description for reports."""
-    kind = target_kind(op)
-    if kind == "edge":
-        return f"edge({target[0]}-{target[1]})"
-    if kind == "vertex":
-        return f"vertex({target})"
-    if kind == "neighbors":
-        return "neighbors(" + "+".join(str(x) for x in target) + ")"
-    return f"partner(n={target.n};m={target.m})"
+    return _KINDS[target_kind(op)][2](target)
 
 
 def check_shape(op: str, target) -> None:
     """Raise ValueError unless ``target`` has the shape of ``op``'s target kind."""
-    what, fits = _SHAPES[target_kind(op)]
+    what, fits, _ = _KINDS[target_kind(op)]
     if not fits(target):
         raise ValueError(f"{op} takes {what}, got {target!r}")
 

@@ -5,7 +5,7 @@ import pytest
 
 from dmp.graph import from_edge_list, is_connected, is_triangle_free, is_tree
 from dmp import bounds
-from dmp.constructions import complete_graph, generate, path_graph
+from dmp.constructions import complete_graph, cycle_graph, generate, path_graph
 from dmp.bounds import (
     CSV_HEADER,
     CampaignConfig,
@@ -92,6 +92,11 @@ def test_check_bound_rejects_non_tree_for_leaf_theorems():
         check_bound("tree_leaf_delete", path_graph(4), 1)  # not a leaf
 
 
+def test_check_bound_rejects_a_cycle_for_leaf_delete():
+    with pytest.raises(PreconditionError, match="graph not a tree"):
+        check_bound("tree_leaf_delete", cycle_graph(4), 0)
+
+
 def test_check_bound_rejects_disconnected_product_operand():
     disc = from_edge_list(3, [(0, 1)])
     with pytest.raises(PreconditionError):
@@ -118,6 +123,27 @@ def test_gnp_rejects_bad_parameters():
         random_graph(Gnp(0, 0.5), 1)
     with pytest.raises(ValueError):
         random_graph(Gnp(5, 1.5), 1)
+
+
+@pytest.mark.parametrize("model", [
+    RandomTree(0),
+    RandomBipartite(0, 3, 0.5),
+    RandomBipartite(3, 0, 0.5),
+    RandomBipartite(3, 3, -0.1),
+    RandomBipartite(3, 3, 1.5),
+], ids=repr)
+def test_models_reject_bad_parameters(model):
+    with pytest.raises(ValueError, match="bad "):
+        random_graph(model, 1)
+
+
+def test_random_graph_rejects_a_non_model():
+    with pytest.raises(ValueError, match="unknown model 'gnp'"):
+        random_graph("gnp", 1)
+
+
+def test_random_tree_on_one_vertex():
+    assert random_graph(RandomTree(1), 5) == from_edge_list(1, [])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -169,6 +195,11 @@ def test_campaign_rejects_incompatible_model(tid, model):
     with pytest.raises(ValueError) as exc:
         run_campaign(CampaignConfig(tid, model, trials=5, seed=1))
     assert str(exc.value) == f"{tid} campaigns need the random_tree model"
+
+
+def test_campaign_rejects_unknown_theorem():
+    with pytest.raises(ValueError, match="unknown theorem 'nope'"):
+        run_campaign(CampaignConfig("nope", Gnp(5, 0.5), trials=3, seed=1))
 
 
 def test_campaign_rejects_zero_trials():

@@ -45,6 +45,20 @@ def test_mp_single_vertex(tmp_path, capsys):
     assert capsys.readouterr().out == "mp=1\n"
 
 
+# each named format reads its own text and rejects the other's
+@pytest.mark.parametrize("fmt, text, code, out", [
+    ("edgelist", "3 2\n0 1\n1 2\n", 0, "mp=2\n"),
+    ("json", '{"n": 3, "edges": [[0, 1], [1, 2]]}', 0, "mp=2\n"),
+    ("edgelist", '{"n": 3, "edges": [[0, 1], [1, 2]]}', 1, ""),
+    ("json", "3 2\n0 1\n1 2\n", 1, ""),
+], ids=["edgelist", "json", "edgelist_given_json", "json_given_edgelist"])
+def test_mp_reads_the_named_format(tmp_path, capsys, fmt, text, code, out):
+    path = tmp_path / "p3"
+    path.write_text(text)
+    assert main(["mp", str(path), "--format", fmt]) == code
+    assert capsys.readouterr().out == out
+
+
 def test_mp_parse_failure_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("not a graph\n")
@@ -335,6 +349,12 @@ def test_verify_rejects_sample_for_partner_theorems(theorem, capsys):
 def test_oracle_check_ok(capsys):
     assert main(["oracle-check", "--max-n", "8", "--trials", "50", "--seed", "7"]) == 0
     assert capsys.readouterr().out.startswith("mismatches=0")
+
+
+def test_oracle_check_exits_2_on_a_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr("dmp.cli.mp_oracle", lambda g: 0)  # no graph has mp 0
+    assert main(["oracle-check", "--max-n", "3", "--trials", "2", "--seed", "7"]) == 2
+    assert capsys.readouterr().out == "mismatches=13 graphs=13\n"
 
 
 def test_oracle_check_rejects_large_max_n():

@@ -49,6 +49,16 @@ def test_from_edge_list_rejects_out_of_range():
         from_edge_list(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: from_edge_list(-1, []), "non-negative"),
+    (lambda: cycle_graph(2), "cycle needs n >= 3"),
+    (lambda: is_tree(from_edge_list(0, [])), "empty graph"),
+], ids=["negative_n", "cycle_2", "tree_empty"])
+def test_bad_sizes_raise(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_from_edge_list_rejects_loop():
     with pytest.raises(ValueError, match="loop"):
         from_edge_list(3, [(1, 1)])
@@ -165,6 +175,7 @@ def test_parse_edge_list_rejects_malformed(text):
         '{"n": 2, "edges": [[0, 1], [0, 1]]}',
         '{"n": true, "edges": []}',
         '{"n": 2, "edges": [[false, true]]}',
+        '{"n": 2, "edges": [[0, 1]',
     ],
 )
 def test_parse_json_rejects_malformed(text):

@@ -55,6 +55,16 @@ def test_delete_last_edge():
     assert mp_exact(g).value == 1
 
 
+@pytest.mark.parametrize("op, edge, message", [
+    (add_edge, (0, 3), "endpoint out of range"),
+    (add_edge, (-1, 2), "endpoint out of range"),
+    (subdivide_edge, (0, 2), "not present"),
+])
+def test_edge_operations_reject_bad_edges(op, edge, message):
+    with pytest.raises(ValueError, match=message):
+        op(path_graph(3), *edge)
+
+
 def test_delete_edge_rejects_absent():
     with pytest.raises(ValueError):
         delete_edge(path_graph(3), 0, 2)

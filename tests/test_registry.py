@@ -172,6 +172,30 @@ def test_selection_reports_disconnected_product_operands():
     assert select_theorem("join", disc, path_graph(2))[0].id == "join"
 
 
+# each target has the wrong shape for its operation, or the operation is unknown
+@pytest.mark.parametrize("op, target, message", [
+    ("add-vertex", 1, "add-vertex takes a tuple of neighbors, got 1"),
+    ("delete-vertex", (1,), "delete-vertex takes a vertex, got (1,)"),
+    ("cartesian-product", 3, "cartesian-product takes a partner graph, got 3"),
+    ("add-edge", 1, "add-edge takes an edge (u, v), got 1"),
+    ("join", 3, "join takes a partner graph, got 3"),
+    ("rotate", (0, 1), "unknown operation kind 'rotate'"),
+])
+def test_selection_checks_the_shape_before_any_hypothesis(monkeypatch, op, target, message):
+    def never(g):
+        raise AssertionError("a hypothesis ran before the shape check")
+
+    monkeypatch.setattr(bounds, "is_tree", never)
+    monkeypatch.setattr(bounds, "is_connected", never)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        select_theorem(op, path_graph(3), target)
+
+
+def test_selection_takes_lists_for_edges_and_neighbors():
+    assert select_theorem("add-edge", path_graph(3), [0, 2])[0].id == "edge_add"
+    assert select_theorem("add-vertex", star_graph(3), [1])[0].id == "tree_leaf_add"
+
+
 def _count_solves(monkeypatch, *modules):
     calls = []
     for mod in modules:

@@ -184,6 +184,11 @@ def test_oracle_rejects_large():
         mp_oracle(complete_graph(13))
 
 
+def test_oracle_rejects_empty_graph():
+    with pytest.raises(ValueError, match="empty graph"):
+        mp_oracle(from_edge_list(0, []))
+
+
 @given(graphs(max_n=8))
 def test_oracle_matches_exact(g):
     assert mp_exact(g).value == mp_oracle(g)

@@ -1,0 +1,34 @@
+"""Guards for what README and pyproject.toml promise about the package itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "dmp").glob("*.py"))
+
+
+def test_readme_library_block_gives_its_values():
+    readme = (ROOT / "README.md").read_text()
+    namespace = {}
+    exec(readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0], namespace)
+    assert namespace["res"].value == 4
+    assert namespace["rec"].passed
+
+
+def test_modules_import_only_the_standard_library_and_parse_as_python_3_10():
+    assert MODULES
+    outside = []
+    for path in MODULES:
+        # requires-python = ">=3.10": no syntax newer than 3.10
+        tree = ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
