@@ -14,7 +14,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import bounds, constructions, graph as gr, operations as ops
+# graph and the solver names only; a handler or a parser build imports the rest
+from . import graph as gr
 from .solver import ORACLE_MAX_N, BudgetExceededError, SearchLimits, mp_exact, mp_oracle
 
 
@@ -33,21 +34,47 @@ def _float(raw: str) -> float:
     return float(raw)
 
 
-# --op names: the operation kinds, with cartesian-product spelled "cartesian"
-_OP_NAMES = {("cartesian" if k == "cartesian-product" else k): k for k in ops.OP_KINDS}
-# construct flags: the catalog's parameter names, in order of first appearance
-_CATALOG_PARAMS = tuple(dict.fromkeys(
-    name for info in constructions.list_families() for name, _ in info.params))
-# verify model flags: every model's field names, in order of first appearance, with
-# their types (bounds postpones annotations, so a field's type is its name)
-_MODEL_FLAGS = {
-    f.name: {"int": _int, "float": _float}[f.type]
-    for cls in bounds.MODELS.values() for f in fields(cls)
-}
+def _op_names() -> dict[str, str]:
+    """--op names: the operation kinds, with cartesian-product spelled "cartesian"."""
+    from .operations import OP_KINDS
+
+    return {("cartesian" if k == "cartesian-product" else k): k for k in OP_KINDS}
+
+
+def _catalog_params() -> tuple[str, ...]:
+    """construct flags: the catalog's parameter names, in order of first appearance.
+    They are read from the table and not through list_families(): each main() call
+    builds its parser, and a catalog call there would count as catalog work."""
+    from .constructions import _FAMILIES
+
+    return tuple(dict.fromkeys(name for info in _FAMILIES.values() for name, _ in info.params))
+
+
+def _model_flags() -> dict:
+    """verify model flags: every model's field names, in order of first appearance, with
+    their types (bounds postpones annotations, so a field's type is its name)."""
+    from .bounds import MODELS
+
+    return {f.name: {"int": _int, "float": _float}[f.type]
+            for cls in MODELS.values() for f in fields(cls)}
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # exit 1 on bad flags, not argparse's 2
+    """Exits 1 on bad flags, not argparse's 2.  A subcommand's parser adds its
+    arguments with ``build(parser)`` when it first parses, so one command does not
+    import what only another command's flags need."""
+
+    def __init__(self, *args, build=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._build = build
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._build is not None:  # --help is parsed too, so it sees every argument
+            build, self._build = self._build, None
+            build(self)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message: str):
         raise ValueError(message)
 
 
@@ -142,15 +169,19 @@ def _flag_values(args, flags, every, owner: str) -> list:
 
 def _op_target(args, op: str):
     """The operation's target, from the flags of its target kind."""
-    flags, read = _TARGET_FLAGS[ops.target_kind(op)]
+    from .operations import target_kind
+
+    flags, read = _TARGET_FLAGS[target_kind(op)]
     every = [f for kind_flags, _ in _TARGET_FLAGS.values() for f in kind_flags]
     _flag_values(args, flags, every, f"--op {args.op}")
     return read(args)
 
 
 def _cmd_op(args) -> int:
+    from . import bounds, operations as ops
+
     g = _read_graph(args.input, args.format)
-    op = _OP_NAMES[args.op]
+    op = _op_names()[args.op]
     limits = _limits()
     target = _op_target(args, op)
     spec, reason = bounds.select_theorem(op, g, target)
@@ -169,7 +200,9 @@ def _cmd_op(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    params = {n: getattr(args, n) for n in _CATALOG_PARAMS if getattr(args, n) is not None}
+    from . import constructions, operations as ops
+
+    params = {n: getattr(args, n) for n in _catalog_params() if getattr(args, n) is not None}
     inst = constructions.generate(args.family, params)
     if args.partner_out and ops.target_kind(inst.operation) != "partner":
         raise ValueError(f"family {inst.family} has no partner graph")
@@ -188,13 +221,17 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _make_model(args) -> bounds.Model:
-    cls = bounds.MODELS[args.model]
+def _make_model(args):
+    from .bounds import MODELS
+
+    cls = MODELS[args.model]
     names = [f.name for f in fields(cls)]
-    return cls(*_flag_values(args, names, _MODEL_FLAGS, f"{args.model} model"))
+    return cls(*_flag_values(args, names, _model_flags(), f"{args.model} model"))
 
 
 def _cmd_verify(args) -> int:
+    from . import bounds
+
     config = bounds.CampaignConfig(
         theorem=args.theorem,
         model=_make_model(args),
@@ -224,6 +261,8 @@ def _cmd_verify(args) -> int:
 def _oracle_graphs(max_n: int, trials: int, seed: int) -> list[gr.Graph]:
     """The graphs oracle-check compares mp_exact with mp_oracle on: a fixed catalog
     of graphs on at most max_n vertices, then ``trials`` seeded Gnp graphs."""
+    from . import bounds, constructions
+
     cat: list[gr.Graph] = []
     cat.extend(constructions.path_graph(n) for n in range(1, max_n + 1))
     cat.extend(constructions.cycle_graph(n) for n in range(3, max_n + 1))
@@ -257,63 +296,76 @@ def _cmd_oracle_check(args) -> int:
     return 2 if mismatches else 0
 
 
+def _mp_args(p: _Parser) -> None:
+    p.add_argument("input")
+    p.add_argument("--format", choices=["auto", "edgelist", "json"], default="auto")
+    p.add_argument("--witness", action="store_true")
+    p.add_argument("--stats", action="store_true", help="print search statistics on stderr")
+
+
+def _op_args(p: _Parser) -> None:
+    p.add_argument("input")
+    p.add_argument("--op", required=True, choices=list(_op_names()))
+    p.add_argument("--format", choices=["auto", "edgelist", "json"], default="auto")
+    p.add_argument("--u", type=_int)
+    p.add_argument("--v", type=_int)
+    p.add_argument("--vertex", type=_int)
+    p.add_argument("--neighbors")
+    p.add_argument("--partner")
+    p.add_argument("--out")
+    p.add_argument("--json", action="store_true")
+
+
+def _construct_args(p: _Parser) -> None:
+    p.add_argument("--family", required=True)
+    for name in _catalog_params():
+        p.add_argument(f"--{name}", type=_int)
+    p.add_argument("--out")
+    p.add_argument("--partner-out")
+    p.add_argument("--json", action="store_true")
+
+
+def _verify_args(p: _Parser) -> None:
+    from .bounds import MODELS, THEOREMS
+
+    p.add_argument("--theorem", required=True, choices=list(THEOREMS))
+    p.add_argument("--model", required=True, choices=list(MODELS))
+    for name, type_ in _model_flags().items():
+        p.add_argument(f"--{name}", type=type_)
+    p.add_argument("--trials", type=_int, default=200)
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--sample", type=_int, help="check only this many targets per trial (>= 1)")
+    p.add_argument("--jobs", type=_int, default=1)
+    p.add_argument("--report")
+    p.add_argument("--json", action="store_true")
+
+
+def _oracle_check_args(p: _Parser) -> None:
+    p.add_argument("--max-n", type=_int, default=ORACLE_MAX_N)
+    p.add_argument("--trials", type=_int, default=500)
+    p.add_argument("--seed", type=_int, default=0)
+
+
+# per subcommand: its help line, the function that adds its arguments, its handler
+_COMMANDS = {
+    "mp": ("compute mp of a graph file", _mp_args, _cmd_mp),
+    "op": ("apply an operation and report mp before/after", _op_args, _cmd_op),
+    "construct": ("emit a catalog construction", _construct_args, _cmd_construct),
+    "verify": ("run a randomized bound campaign", _verify_args, _cmd_verify),
+    "oracle-check": ("cross-check solver against the oracle", _oracle_check_args,
+                     _cmd_oracle_check),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _Parser(prog="dmp", description="degree-monotone path toolkit")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p_mp = sub.add_parser("mp", help="compute mp of a graph file")
-    p_mp.add_argument("input")
-    p_mp.add_argument("--format", choices=["auto", "edgelist", "json"], default="auto")
-    p_mp.add_argument("--witness", action="store_true")
-    p_mp.add_argument("--stats", action="store_true", help="print search statistics on stderr")
-
-    p_op = sub.add_parser("op", help="apply an operation and report mp before/after")
-    p_op.add_argument("input")
-    p_op.add_argument("--op", required=True, choices=list(_OP_NAMES))
-    p_op.add_argument("--format", choices=["auto", "edgelist", "json"], default="auto")
-    p_op.add_argument("--u", type=_int)
-    p_op.add_argument("--v", type=_int)
-    p_op.add_argument("--vertex", type=_int)
-    p_op.add_argument("--neighbors")
-    p_op.add_argument("--partner")
-    p_op.add_argument("--out")
-    p_op.add_argument("--json", action="store_true")
-
-    p_con = sub.add_parser("construct", help="emit a catalog construction")
-    p_con.add_argument("--family", required=True)
-    for name in _CATALOG_PARAMS:
-        p_con.add_argument(f"--{name}", type=_int)
-    p_con.add_argument("--out")
-    p_con.add_argument("--partner-out")
-    p_con.add_argument("--json", action="store_true")
-
-    p_ver = sub.add_parser("verify", help="run a randomized bound campaign")
-    p_ver.add_argument("--theorem", required=True, choices=list(bounds.THEOREMS))
-    p_ver.add_argument("--model", required=True, choices=list(bounds.MODELS))
-    for name, type_ in _MODEL_FLAGS.items():
-        p_ver.add_argument(f"--{name}", type=type_)
-    p_ver.add_argument("--trials", type=_int, default=200)
-    p_ver.add_argument("--seed", type=_int, default=0)
-    p_ver.add_argument("--sample", type=_int, help="check only this many targets per trial (>= 1)")
-    p_ver.add_argument("--jobs", type=_int, default=1)
-    p_ver.add_argument("--report")
-    p_ver.add_argument("--json", action="store_true")
-
-    p_or = sub.add_parser("oracle-check", help="cross-check solver against the oracle")
-    p_or.add_argument("--max-n", type=_int, default=ORACLE_MAX_N)
-    p_or.add_argument("--trials", type=_int, default=500)
-    p_or.add_argument("--seed", type=_int, default=0)
+    for name, (help_, build, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_, build=build)
 
     try:
         args = parser.parse_args(argv)
-        handler = {
-            "mp": _cmd_mp,
-            "op": _cmd_op,
-            "construct": _cmd_construct,
-            "verify": _cmd_verify,
-            "oracle-check": _cmd_oracle_check,
-        }[args.cmd]
-        return handler(args)
+        return _COMMANDS[args.cmd][2](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -16,7 +16,6 @@ written as an optional '-' and ASCII digits.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
@@ -147,10 +146,14 @@ def parse_edge_list_text(text: str) -> Graph:
 
 
 def to_json_text(g: Graph) -> str:
+    import json  # here, not at the top: reading or writing edge lists needs no json
+
     return json.dumps({"n": g.n, "edges": [[u, v] for u, v in g.edges()]})
 
 
 def parse_json_text(text: str) -> Graph:
+    import json
+
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -157,15 +157,16 @@ OP_KINDS = tuple(_DISPATCH)
 
 
 def _ints(t) -> bool:
-    return isinstance(t, (tuple, list)) and all(isinstance(x, int) for x in t)
+    return isinstance(t, (tuple, list)) and all(type(x) is int for x in t)
 
 
 # One row per target kind: its name in messages, its shape rule, and its
-# comma-free report text
+# comma-free report text.  The rules test type() and not isinstance(), because
+# True and False are ints too.
 _KINDS = {
     "edge": ("an edge (u, v)", lambda t: _ints(t) and len(t) == 2,
              lambda t: f"edge({t[0]}-{t[1]})"),
-    "vertex": ("a vertex", lambda t: isinstance(t, int), lambda t: f"vertex({t})"),
+    "vertex": ("a vertex", lambda t: type(t) is int, lambda t: f"vertex({t})"),
     "neighbors": ("a tuple of neighbors", _ints, lambda t: f"neighbors({'+'.join(map(str, t))})"),
     "partner": ("a partner graph", lambda t: isinstance(t, Graph),
                 lambda t: f"partner(n={t.n};m={t.m})"),

@@ -1,12 +1,13 @@
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from dmp import bounds
 from dmp.cli import main
 from dmp.graph import parse_edge_list_text, parse_json_text, to_edge_list_text
-from dmp.constructions import complete_graph, path_graph
+from dmp.constructions import complete_graph, list_families, path_graph
+from dmp.operations import OP_KINDS
 from dmp.solver import mp_exact
 
 
@@ -423,3 +424,45 @@ def test_op_rejects_target_flags_of_another_kind(tmp_path, capsys, flags, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def _help(cmd, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_construct_help_names_every_catalog_parameter(capsys):
+    out = _help("construct", capsys)
+    for info in list_families():
+        for name, _ in info.params:
+            assert f"--{name} {name.upper()}" in out
+
+
+def test_verify_help_names_every_theorem_model_and_model_flag(capsys):
+    out = _help("verify", capsys)
+    assert re.search(r"--theorem \{([^}]*)\}", out)[1].split(",") == list(bounds.THEOREMS)
+    assert re.search(r"--model \{([^}]*)\}", out)[1].split(",") == list(bounds.MODELS)
+    for cls in bounds.MODELS.values():
+        for f in fields(cls):
+            assert f"--{f.name} {f.name.upper()}" in out
+
+
+def test_op_help_names_every_op_choice(capsys):
+    out = _help("op", capsys)
+    names = ["cartesian" if k == "cartesian-product" else k for k in OP_KINDS]
+    assert re.search(r"--op \{([^}]*)\}", out)[1].split(",") == names
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--theorem", "bogus", "--model", "gnp"], "argument --theorem: invalid choice"),
+    (["construct", "--n", "6"], "the following arguments are required: --family"),
+    (["op", "G", "--op", "bogus"], "argument --op: invalid choice"),
+], ids=["verify_theorem", "construct_family", "op"])
+def test_a_bad_subcommand_flag_exits_1_with_one_error_line(tmp_path, capsys, argv, message):
+    path = _write(tmp_path, "g.txt", path_graph(3))
+    assert main([path if a == "G" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1

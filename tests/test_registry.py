@@ -196,6 +196,21 @@ def test_selection_takes_lists_for_edges_and_neighbors():
     assert select_theorem("add-vertex", star_graph(3), [1])[0].id == "tree_leaf_add"
 
 
+# True and False are ints to isinstance(), but no target kind takes them
+@pytest.mark.parametrize("op, target, message", [
+    ("delete-vertex", True, "delete-vertex takes a vertex, got True"),
+    ("add-edge", (True, 2), "add-edge takes an edge (u, v), got (True, 2)"),
+    ("add-vertex", [0, False], "add-vertex takes a tuple of neighbors, got [0, False]"),
+])
+def test_a_bool_is_not_an_int_target(op, target, message):
+    theorem = next(t for t in THEOREMS.values() if t.operation == op).id
+    for call in (lambda: ops.apply(op, path_graph(3), target),
+                 lambda: check_bound(theorem, path_graph(3), target),
+                 lambda: select_theorem(op, path_graph(3), target)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
 def _count_solves(monkeypatch, *modules):
     calls = []
     for mod in modules:
