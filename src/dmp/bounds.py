@@ -48,18 +48,18 @@ class TheoremSpec:
     ``bounds(mp_before, n_before, mp_partner, n_partner)`` returns the
     interval's two ends (lower, upper), each an int or a Fraction; the
     partner's mp and n are None unless the theorem ``needs_partner``, as its
-    operation's target kind says.  ``targets(g, rng, sample)`` lists the
-    targets one campaign trial checks in ``g``: all of them, or ``sample``
-    drawn with ``rng``; a partner theorem's trial checks one partner graph
-    drawn from the model instead.  ``model`` names the only model a campaign
-    may draw from, if any.
+    operation's target kind says.  ``targets(g, rng, sample, model)`` lists
+    the targets one campaign trial checks in ``g``: all of them, or ``sample``
+    drawn with ``rng``; for a partner theorem, one partner graph drawn from
+    ``model`` with ``rng``.  The field ``model`` names the only model a
+    campaign may draw from, if any.
     """
 
     id: str
     operation: str
     hypothesis: Callable[[Graph, tuple], str | None]
     bounds: Callable[[int, int, int | None, int | None], tuple]
-    targets: Callable[[Graph, random.Random, int | None], list] | None = None
+    targets: Callable[[Graph, random.Random, int | None, Model], list]
     model: str | None = None
 
     @property
@@ -101,7 +101,7 @@ def _both_connected(g: Graph, partners: tuple) -> str | None:
 
 def _each(domain: Callable[[Graph], list]):
     """Targets: every one in domain(g), or ``sample`` of them in domain order."""
-    def targets(g: Graph, rng: random.Random, sample: int | None) -> list:
+    def targets(g: Graph, rng: random.Random, sample: int | None, model: Model) -> list:
         cands = domain(g)
         if sample is None:
             return cands
@@ -109,13 +109,18 @@ def _each(domain: Callable[[Graph], list]):
     return targets
 
 
-def _neighbor_sets(g: Graph, rng: random.Random, sample: int | None) -> list:
+def _neighbor_sets(g: Graph, rng: random.Random, sample: int | None, model: Model) -> list:
     """``sample or 1`` random neighbor sets of 1..8 vertices: all subsets are too many."""
     sets = []
     for _ in range(sample or 1):
         size = rng.randint(1, min(g.n, 8))
         sets.append(tuple(sorted(rng.sample(range(g.n), size))))
     return sets
+
+
+def _partner(g: Graph, rng: random.Random, sample: int | None, model: Model) -> list:
+    """One partner graph from the model, drawn apart from every trial's graph."""
+    return [random_graph(model, rng.getrandbits(63))]
 
 
 def _non_edges(g: Graph) -> list:
@@ -147,8 +152,8 @@ THEOREMS: dict[str, TheoremSpec] = {spec.id: spec for spec in (
                 lambda mp, n, p, np_: (1, n - 1),
                 _each(lambda g: list(range(g.n)) if g.n >= 2 else [])),
     TheoremSpec("cartesian_product", "cartesian-product", _both_connected,
-                lambda mp, n, p, np_: (mp + p - 1, mp * p)),
-    TheoremSpec("join", "join", _holds, lambda mp, n, p, np_: (mp + p, n + np_)),
+                lambda mp, n, p, np_: (mp + p - 1, mp * p), _partner),
+    TheoremSpec("join", "join", _holds, lambda mp, n, p, np_: (mp + p, n + np_), _partner),
 )}
 
 
@@ -181,9 +186,6 @@ class BoundCheckRecord(NamedTuple):
 
     def csv_row(self) -> str:
         return ",".join([str(v).lower() if isinstance(v, bool) else str(v) for v in self])
-
-    def json_obj(self) -> dict:
-        return _report_fields(self)
 
 
 def _column(name: str) -> str:
@@ -261,8 +263,6 @@ def check_bound(
     if theorem_id not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem_id!r}")
     spec = THEOREMS[theorem_id]
-    if spec.needs_partner and not isinstance(target, Graph):
-        raise PreconditionError(f"{theorem_id} needs a partner graph")
     ops.check_shape(spec.operation, target)
     reason = spec.hypothesis(g, (target,))
     if reason is not None:
@@ -396,11 +396,8 @@ def _run_trial(config: CampaignConfig, trial: int, limits: SearchLimits | None):
     tseed = _trial_seed(config.seed, trial)
     g = random_graph(config.model, tseed)
     rng = random.Random(tseed ^ 0x5EED)  # the trial's own target stream
-    if spec.needs_partner:  # drawn apart from every trial's graph
-        targets = [random_graph(config.model, rng.getrandbits(63))]
-    else:
-        sample = config.target_policy[1] if config.target_policy else None
-        targets = spec.targets(g, rng, sample)
+    sample = config.target_policy[1] if config.target_policy else None
+    targets = spec.targets(g, rng, sample, config.model)
     if not targets or spec.hypothesis(g, tuple(targets)) is not None:
         return None
     return _evaluate(spec, g, targets, limits, config.seed, trial)[0]
@@ -480,5 +477,5 @@ def records_to_csv(records: list[BoundCheckRecord]) -> str:
 def records_to_json(records: list[BoundCheckRecord], summary: CampaignSummary) -> str:
     import json
 
-    obj = {"records": [r.json_obj() for r in records], "summary": _report_fields(summary)}
+    obj = {"records": [_report_fields(r) for r in records], "summary": _report_fields(summary)}
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

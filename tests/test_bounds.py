@@ -103,11 +103,6 @@ def test_check_bound_rejects_disconnected_product_operand():
         check_bound("cartesian_product", disc, path_graph(2))
 
 
-def test_check_bound_join_needs_a_partner_graph():
-    with pytest.raises(PreconditionError, match="needs a partner graph"):
-        check_bound("join", path_graph(3), (0, 1))
-
-
 def test_check_bound_unknown_theorem():
     with pytest.raises(ValueError):
         check_bound("nope", path_graph(3), (0, 1))
@@ -319,8 +314,6 @@ def test_record_flags_on_ends_set_by_hand(monkeypatch, lower, upper, passed):
     assert rec.tight_low is (lower == 4) and rec.tight_high is (upper == 4)
 
 
-# one wrong-shaped target per non-partner target kind; a partner theorem given
-# anything but a graph raises PreconditionError (see above)
 @pytest.mark.parametrize("tid, target, message", [
     ("edge_add", 1, "add-edge takes an edge (u, v), got 1"),
     ("edge_delete", (0,), "delete-edge takes an edge (u, v), got (0,)"),
@@ -328,8 +321,10 @@ def test_record_flags_on_ends_set_by_hand(monkeypatch, lower, upper, passed):
     ("vertex_add_general", [0.5], "add-vertex takes a tuple of neighbors, got [0.5]"),
     ("tree_leaf_delete", (1,), "delete-vertex takes a vertex, got (1,)"),
     ("vertex_delete_general", (1,), "delete-vertex takes a vertex, got (1,)"),
+    ("cartesian_product", 3, "cartesian-product takes a partner graph, got 3"),
+    ("join", (0, 1), "join takes a partner graph, got (0, 1)"),
 ], ids=["edge_add", "edge_delete", "tree_leaf_add", "vertex_add_general", "tree_leaf_delete",
-        "vertex_delete_general"])
+        "vertex_delete_general", "cartesian_product", "join"])
 def test_check_bound_rejects_a_target_of_the_wrong_shape(tid, target, message):
     with pytest.raises(ValueError) as exc:
         check_bound(tid, path_graph(3), target)

@@ -32,3 +32,22 @@ def test_modules_import_only_the_standard_library_and_parse_as_python_3_10():
             outside += [(path.name, name) for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+# perfbench's tracer patches operations.from_edge_list (perfbench/spans.py::_targets)
+IMPORTS_KEPT_UNUSED = {("operations.py", "from_edge_list")}
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, name) for name in imported if name not in read]
+    assert sorted(unused) == sorted(IMPORTS_KEPT_UNUSED)
