@@ -145,12 +145,12 @@ def _parse_ids(raw: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {raw!r}") from None
 
 
-# per target kind (operations.target_kind): its flags, and the target they give
+# per target kind (operations.target_kind): its flags with their types, and its target
 _TARGET_FLAGS = {
-    "edge": (("u", "v"), lambda args: (args.u, args.v)),
-    "vertex": (("vertex",), lambda args: args.vertex),
-    "neighbors": (("neighbors",), lambda args: _parse_ids(args.neighbors)),
-    "partner": (("partner",), lambda args: _read_graph(args.partner, args.format)),
+    "edge": ({"u": _int, "v": _int}, lambda args: (args.u, args.v)),
+    "vertex": ({"vertex": _int}, lambda args: args.vertex),
+    "neighbors": ({"neighbors": str}, lambda args: _parse_ids(args.neighbors)),
+    "partner": ({"partner": str}, lambda args: _read_graph(args.partner, args.format)),
 }
 
 
@@ -208,9 +208,9 @@ def _cmd_construct(args) -> int:
         raise ValueError(f"family {inst.family} has no partner graph")
     g = inst.graph
     tgt = ops.describe_target(inst.operation, inst.target)
-    pstr = " ".join(f"{k}={v}" for k, v in sorted(inst.params.items()))
+    pstr = ";".join(f"{k}={v}" for k, v in sorted(inst.params.items()))
     print(
-        f"family={inst.family} {pstr} n={g.n} m={g.m} "
+        f"family={inst.family}({pstr}) n={g.n} m={g.m} "
         f"claimed {inst.claimed_mp_before} -> {inst.claimed_mp_after} "
         f"op={inst.operation} target={tgt}"
     )
@@ -239,8 +239,6 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         target_policy=("sample", args.sample) if args.sample is not None else None,
     )
-    if args.report:  # a report that cannot be written fails before the first trial
-        _check_writable(args.report)
     records, summary = bounds.run_campaign(config, _limits(), jobs=args.jobs)
     if args.report:
         _write_text(
@@ -307,11 +305,9 @@ def _op_args(p: _Parser) -> None:
     p.add_argument("input")
     p.add_argument("--op", required=True, choices=list(_op_names()))
     p.add_argument("--format", choices=["auto", "edgelist", "json"], default="auto")
-    p.add_argument("--u", type=_int)
-    p.add_argument("--v", type=_int)
-    p.add_argument("--vertex", type=_int)
-    p.add_argument("--neighbors")
-    p.add_argument("--partner")
+    for flags, _ in _TARGET_FLAGS.values():
+        for name, type_ in flags.items():
+            p.add_argument(f"--{name}", type=type_)
     p.add_argument("--out")
     p.add_argument("--json", action="store_true")
 
@@ -365,6 +361,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         args = parser.parse_args(argv)
+        for path in (getattr(args, name, None) for name in ("out", "partner_out", "report")):
+            if path:  # an output that cannot be written fails before any work
+                _check_writable(path)
         return _COMMANDS[args.cmd][2](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

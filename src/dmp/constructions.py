@@ -53,7 +53,7 @@ def apply_designated(inst: ConstructionInstance) -> Graph:
 
 
 def path_graph(n: int) -> Graph:
-    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+    return from_edge_list(n, _spine_edges(n))
 
 
 def cycle_graph(n: int) -> Graph:
@@ -136,8 +136,7 @@ def _build_edge_delete_upper(k: int):
     edges = _spine_edges(spine) + [(k, 2 * k)]
     nxt, _ = _attach_leaves(edges, spine, [0], per_host=3)
     nxt, leaf_of = _attach_leaves(edges, nxt, list(range(1, 2 * k - 1)))
-    for host in (1, k - 1):
-        nxt, _ = _attach_leaves(edges, nxt, [leaf_of[host]], per_host=3)
+    nxt, _ = _attach_leaves(edges, nxt, [leaf_of[1], leaf_of[k - 1]], per_host=3)
     return from_edge_list(nxt, edges), "delete-edge", (k, 2 * k), k, 3 * k - 1
 
 
@@ -166,8 +165,7 @@ def _build_contract_upper(k: int):
     edges = _spine_edges(spine)
     nxt, leaf_of = _attach_leaves(edges, spine, list(range(1, spine - 1)))
     nxt, _ = _attach_leaves(edges, nxt, [k - 1, 2 * k - 1])
-    for host in sorted({k, 2 * k - 2}):
-        nxt, _ = _attach_leaves(edges, nxt, [leaf_of[host]], per_host=3)
+    nxt, _ = _attach_leaves(edges, nxt, [leaf_of[h] for h in sorted({k, 2 * k - 2})], per_host=3)
     return from_edge_list(nxt, edges), "contract", (k - 1, leaf_of[k - 1]), k, 2 * k
 
 
@@ -183,9 +181,8 @@ def _build_contract_lower(k: int):
     edges = _spine_edges(spine) + [(k, 2 * k + 1)]
     hosts = [j for j in range(1, spine - 1) if j not in (k, 2 * k + 1)]
     nxt, leaf_of = _attach_leaves(edges, spine, hosts)
-    for h in (k + 1, 2 * k, 2 * k + 2, 3 * k + 1):
-        nxt, _ = _attach_leaves(edges, nxt, [leaf_of[h]], per_host=3)
-    nxt, _ = _attach_leaves(edges, nxt, [spine - 1], per_host=3)
+    heavy = [leaf_of[h] for h in (k + 1, 2 * k, 2 * k + 2, 3 * k + 1)] + [spine - 1]
+    nxt, _ = _attach_leaves(edges, nxt, heavy, per_host=3)
     return from_edge_list(nxt, edges), "contract", (k, 2 * k + 1), 3 * k + 3, k + 1
 
 

@@ -105,7 +105,7 @@ def is_tree(g: Graph) -> bool:
     return g.m == g.n - 1 and is_connected(g)
 
 
-def _from_parsed_edges(n: int, edges: list[tuple[int, int]]) -> Graph:
+def _from_parsed_edges(n: int, edges: list) -> Graph:
     """from_edge_list for file input, where a repeated edge is an error."""
     g = from_edge_list(n, edges)
     if g.m != len(edges):
@@ -135,7 +135,7 @@ def to_edge_list_text(g: Graph) -> str:
 
 def parse_edge_list_text(text: str) -> Graph:
     lines = text.split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
     if not lines:
         raise ValueError("empty edge-list input")
@@ -158,19 +158,14 @@ def parse_json_text(text: str) -> Graph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON graph: {exc}") from None
-    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise ValueError('JSON graph must be {"n": int, "edges": [[u, v], ...]}')
-    n = obj["n"]
-    edges = obj["edges"]
+    n, edges = (obj.get("n"), obj.get("edges")) if isinstance(obj, dict) else (None, None)
     # type() and not isinstance(): JSON true and false load as bools, a subclass of int
     if type(n) is not int or not isinstance(edges, list):
         raise ValueError('JSON graph must be {"n": int, "edges": [[u, v], ...]}')
-    pairs = []
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
             raise ValueError(f"bad edge entry {e!r}")
-        pairs.append((e[0], e[1]))
-    return _from_parsed_edges(n, pairs)
+    return _from_parsed_edges(n, edges)
 
 
 def parse_graph_text(text: str) -> Graph:

@@ -164,6 +164,14 @@ def test_construct_prints_claims(tmp_path, capsys):
     assert "family=k4_free" in out and "claimed 4 -> 9" in out and "n=10" in out
 
 
+@pytest.mark.parametrize("info", list_families(), ids=lambda info: info.name)
+def test_construct_line_repeats_no_key(info, capsys):
+    flags = [x for name, minimum in info.params for x in (f"--{name}", str(minimum))]
+    assert main(["construct", "--family", info.name, *flags]) == 0
+    keys = re.findall(r"(?:^| )(\w+)=", capsys.readouterr().out)
+    assert len(keys) == len(set(keys)), keys
+
+
 def test_construct_writes_normalized_file(tmp_path):
     out = tmp_path / "sub.txt"
     assert main(["construct", "--family", "subdiv_lower", "--n", "8",
@@ -260,16 +268,22 @@ def test_verify_float_flag_accepts_plain_decimals(raw, p, capsys):
     ["op", "GRAPH", "--op", "add-edge", "--u", "0", "--v", "2", "--out", "OUT"],
     ["construct", "--family", "path", "--n", "4", "--out", "OUT"],
     ["construct", "--family", "product_star_star", "--m", "3", "--partner-out", "OUT"],
+    ["construct", "--family", "product_star_star", "--m", "3", "--out", "OK",
+     "--partner-out", "OUT"],
     ["verify", "--theorem", "edge_add", "--model", "gnp", "--n", "4", "--p", "0.5",
      "--trials", "2", "--report", "OUT"],
-], ids=["op-out", "construct-out", "construct-partner-out", "verify-report"])
+], ids=["op-out", "construct-out", "construct-partner-out", "construct-out-and-partner-out",
+        "verify-report"])
 def test_write_to_a_missing_directory_exits_1(flags, tmp_path, capsys):
     graph = _write(tmp_path, "p4.txt", path_graph(4))
     out = str(tmp_path / "missing" / "out.txt")
-    assert main([{"GRAPH": graph, "OUT": out}.get(f, f) for f in flags]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    ok = str(tmp_path / "ok.txt")
+    assert main([{"GRAPH": graph, "OUT": out, "OK": ok}.get(f, f) for f in flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # the check comes before any work
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["p4.txt"]
 
 
 _VERIFY_GNP = ["verify", "--theorem", "edge_add", "--model", "gnp", "--n", "8", "--p", "0.5",

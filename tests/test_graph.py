@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -166,20 +167,25 @@ def test_parse_edge_list_rejects_malformed(text):
         parse_edge_list_text(text)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "[]",
-        '{"n": 2}',
-        '{"n": 2, "edges": [[0]]}',
-        '{"n": 2, "edges": [[0, 1], [0, 1]]}',
-        '{"n": true, "edges": []}',
-        '{"n": 2, "edges": [[false, true]]}',
-        '{"n": 2, "edges": [[0, 1]',
-    ],
-)
-def test_parse_json_rejects_malformed(text):
-    with pytest.raises(ValueError):
+_JSON_SHAPE = 'JSON graph must be {"n": int, "edges": [[u, v], ...]}'
+_MALFORMED_JSON = [
+    ("[]", _JSON_SHAPE),
+    ('{"n": 2}', _JSON_SHAPE),
+    ('{"n": 2, "edges": [[0]]}', "bad edge entry [0]"),
+    ('{"n": 2, "edges": [[0, 1], [0, 1]]}', "duplicate edges: 2 listed, 1 distinct"),
+    ('{"n": true, "edges": []}', _JSON_SHAPE),
+    ('{"n": 2, "edges": [[false, true]]}', "bad edge entry [False, True]"),
+    ('{"n": 2, "edges": [[0, 1]', "invalid JSON graph: "),
+    ('{"edges": []}', _JSON_SHAPE),
+    ('{"n": null, "edges": []}', _JSON_SHAPE),
+    ('{"n": 2, "edges": {}}', _JSON_SHAPE),
+]
+
+
+@pytest.mark.parametrize("text, message", _MALFORMED_JSON,
+                         ids=[text for text, _ in _MALFORMED_JSON])
+def test_parse_json_rejects_malformed(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_json_text(text)
 
 

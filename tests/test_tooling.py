@@ -51,3 +51,38 @@ def test_every_module_level_import_is_used():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [(path.name, name) for name in imported if name not in read]
     assert sorted(unused) == sorted(IMPORTS_KEPT_UNUSED)
+
+
+# (module, other module, private name) read across modules, each for a reason
+PRIVATE_NAMES_SHARED = {
+    # the catalog's flags: list_families() would count as catalog work in a traced main()
+    ("cli.py", "constructions", "_FAMILIES"),
+    # the number rule the integer flags share with the file readers
+    ("cli.py", "graph", "_INT"),
+    # dmp op needs the applied graph for --out, and applies the operation only once
+    ("cli.py", "bounds", "_evaluate"),
+    # oracle-check seeds its random graphs by the campaign's rule
+    ("cli.py", "bounds", "_trial_seed"),
+}
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_private_names_stay_in_their_module():
+    shared = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        aliases = {}  # a name bound to a sibling module by `from . import m [as a]`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    aliases.update({a.asname or a.name: a.name for a in node.names})
+                else:
+                    shared |= {(path.name, node.module, a.name)
+                               for a in node.names if _private(a.name)}
+        shared |= {(path.name, aliases[node.value.id], node.attr) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in aliases and _private(node.attr)}
+    assert shared == PRIVATE_NAMES_SHARED
