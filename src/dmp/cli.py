@@ -11,6 +11,7 @@ import argparse
 import os
 import re
 import sys
+from collections.abc import Iterator
 from dataclasses import fields
 from pathlib import Path
 
@@ -119,8 +120,13 @@ def _check_writable(path: str) -> None:
         target.unlink()
 
 
-def _write_graph(g: gr.Graph, path: str, as_json: bool) -> None:
-    _write_text(path, gr.to_json_text(g) + "\n" if as_json else gr.to_edge_list_text(g))
+def _is_json(path: str) -> bool:
+    """A file dmp writes is JSON when its name ends in .json, in any case."""
+    return path.lower().endswith(".json")
+
+
+def _write_graph(g: gr.Graph, path: str) -> None:
+    _write_text(path, gr.to_json_text(g) + "\n" if _is_json(path) else gr.to_edge_list_text(g))
 
 
 def _cmd_mp(args) -> int:
@@ -150,7 +156,7 @@ _TARGET_FLAGS = {
     "edge": ({"u": _int, "v": _int}, lambda args: (args.u, args.v)),
     "vertex": ({"vertex": _int}, lambda args: args.vertex),
     "neighbors": ({"neighbors": str}, lambda args: _parse_ids(args.neighbors)),
-    "partner": ({"partner": str}, lambda args: _read_graph(args.partner, args.format)),
+    "partner": ({"partner": str}, lambda args: _read_graph(args.partner, "auto")),
 }
 
 
@@ -180,7 +186,7 @@ def _op_target(args, op: str):
 def _cmd_op(args) -> int:
     from . import bounds, operations as ops
 
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input, "auto")
     op = _op_names()[args.op]
     limits = _limits()
     target = _op_target(args, op)
@@ -195,7 +201,7 @@ def _cmd_op(args) -> int:
         verdict, status = ("pass", 0) if rec.passed else ("FAIL", 2)
         print(f"{rec.mp_before} -> {rec.mp_after}, bounds [{rec.lower}, {rec.upper}], {verdict}")
     if args.out:
-        _write_graph(after, args.out, args.json)
+        _write_graph(after, args.out)
     return status
 
 
@@ -215,9 +221,9 @@ def _cmd_construct(args) -> int:
         f"op={inst.operation} target={tgt}"
     )
     if args.out:
-        _write_graph(g, args.out, args.json)
+        _write_graph(g, args.out)
     if args.partner_out:
-        _write_graph(inst.target, args.partner_out, args.json)
+        _write_graph(inst.target, args.partner_out)
     return 0
 
 
@@ -241,12 +247,8 @@ def _cmd_verify(args) -> int:
     )
     records, summary = bounds.run_campaign(config, _limits(), jobs=args.jobs)
     if args.report:
-        _write_text(
-            args.report,
-            bounds.records_to_json(records, summary)
-            if args.json
-            else bounds.records_to_csv(records)
-        )
+        _write_text(args.report, bounds.records_to_json(records, summary)
+                    if _is_json(args.report) else bounds.records_to_csv(records))
     print(
         f"theorem={summary.theorem} model={config.model.describe()} "
         f"trials={summary.trials} records={summary.records} "
@@ -256,27 +258,24 @@ def _cmd_verify(args) -> int:
     return 2 if summary.failures else 0
 
 
-def _oracle_graphs(max_n: int, trials: int, seed: int) -> list[gr.Graph]:
-    """The graphs oracle-check compares mp_exact with mp_oracle on: a fixed catalog
-    of graphs on at most max_n vertices, then ``trials`` seeded Gnp graphs."""
+def _oracle_graphs(max_n: int, trials: int, seed: int) -> Iterator[gr.Graph]:
+    """The graphs oracle-check compares mp_exact with mp_oracle on, built one at a
+    time: a fixed catalog of graphs on at most max_n vertices, then ``trials``
+    seeded Gnp graphs."""
     from . import bounds, constructions
 
-    cat: list[gr.Graph] = []
-    cat.extend(constructions.path_graph(n) for n in range(1, max_n + 1))
-    cat.extend(constructions.cycle_graph(n) for n in range(3, max_n + 1))
-    cat.extend(constructions.star_graph(m) for m in range(1, max_n))
-    cat.extend(constructions.complete_graph(n) for n in range(1, max_n + 1))
-    cat.extend(
-        constructions.complete_bipartite_graph(a, b)
-        for a in range(1, max_n)
-        for b in range(a, max_n + 1 - a)
-    )
+    yield from map(constructions.path_graph, range(1, max_n + 1))
+    yield from map(constructions.cycle_graph, range(3, max_n + 1))
+    yield from map(constructions.star_graph, range(1, max_n))
+    yield from map(constructions.complete_graph, range(1, max_n + 1))
+    for a in range(1, max_n):
+        yield from (constructions.complete_bipartite_graph(a, b)
+                    for b in range(a, max_n + 1 - a))
     for t in range(trials):
         tseed = bounds._trial_seed(seed, t)
         n = 1 + (tseed % min(max_n, 10))
         p = 0.1 + 0.8 * ((tseed >> 8) % 100) / 100.0
-        cat.append(bounds.random_graph(bounds.Gnp(n, p), tseed))
-    return cat
+        yield bounds.random_graph(bounds.Gnp(n, p), tseed)
 
 
 def _cmd_oracle_check(args) -> int:
@@ -285,12 +284,12 @@ def _cmd_oracle_check(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
     limits = _limits()
-    graphs = _oracle_graphs(args.max_n, args.trials, args.seed)
-    mismatches = 0
-    for g in graphs:
+    mismatches = graphs = 0
+    for g in _oracle_graphs(args.max_n, args.trials, args.seed):
+        graphs += 1
         if mp_exact(g, limits).value != mp_oracle(g):
             mismatches += 1
-    print(f"mismatches={mismatches} graphs={len(graphs)}")
+    print(f"mismatches={mismatches} graphs={graphs}")
     return 2 if mismatches else 0
 
 
@@ -304,12 +303,10 @@ def _mp_args(p: _Parser) -> None:
 def _op_args(p: _Parser) -> None:
     p.add_argument("input")
     p.add_argument("--op", required=True, choices=list(_op_names()))
-    p.add_argument("--format", choices=["auto", "edgelist", "json"], default="auto")
     for flags, _ in _TARGET_FLAGS.values():
         for name, type_ in flags.items():
             p.add_argument(f"--{name}", type=type_)
     p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
 
 
 def _construct_args(p: _Parser) -> None:
@@ -318,7 +315,6 @@ def _construct_args(p: _Parser) -> None:
         p.add_argument(f"--{name}", type=_int)
     p.add_argument("--out")
     p.add_argument("--partner-out")
-    p.add_argument("--json", action="store_true")
 
 
 def _verify_args(p: _Parser) -> None:
@@ -333,7 +329,6 @@ def _verify_args(p: _Parser) -> None:
     p.add_argument("--sample", type=_int, help="check only this many targets per trial (>= 1)")
     p.add_argument("--jobs", type=_int, default=1)
     p.add_argument("--report")
-    p.add_argument("--json", action="store_true")
 
 
 def _oracle_check_args(p: _Parser) -> None:
@@ -361,9 +356,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         args = parser.parse_args(argv)
-        for path in (getattr(args, name, None) for name in ("out", "partner_out", "report")):
-            if path:  # an output that cannot be written fails before any work
-                _check_writable(path)
+        paths = [p for n in ("out", "partner_out", "report") if (p := getattr(args, n, None))]
+        if len({os.path.realpath(p) for p in paths}) < len(paths):
+            raise ValueError(f"two outputs name the same file: {' and '.join(paths)}")
+        for path in paths:  # an output that cannot be written fails before any work
+            _check_writable(path)
         return _COMMANDS[args.cmd][2](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -114,9 +114,10 @@ def _from_parsed_edges(n: int, edges: list) -> Graph:
 
 
 # an integer is an optional '-' and ASCII digits: int() alone would also take
-# '_', '+', blanks and non-ASCII digits; a line of the edge-list text is two of them
+# '_', '+', blanks and non-ASCII digits; a line of the edge-list text is two of them,
+# separated by ASCII whitespace only (re.ASCII: a plain \s also takes U+00A0)
 _INT = "-?[0-9]+"
-_PAIR = re.compile(rf"\s*({_INT})\s+({_INT})\s*")
+_PAIR = re.compile(rf"\s*({_INT})\s+({_INT})\s*", re.ASCII)
 
 
 def _pair(line: str, expected: str) -> tuple[int, int]:
@@ -158,6 +159,8 @@ def parse_json_text(text: str) -> Graph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON graph: {exc}") from None
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise ValueError("invalid JSON graph: nested too deeply") from None
     n, edges = (obj.get("n"), obj.get("edges")) if isinstance(obj, dict) else (None, None)
     # type() and not isinstance(): JSON true and false load as bools, a subclass of int
     if type(n) is not int or not isinstance(edges, list):

@@ -61,7 +61,7 @@ def test_criterion_1_construction_reproduction():
 
 def test_criterion_2_oracle_equivalence():
     t0 = time.time()
-    graphs = _oracle_graphs(12, 500, 42)
+    graphs = list(_oracle_graphs(12, 500, 42))
     mismatches = sum(1 for g in graphs if mp_exact(g).value != mp_oracle(g))
     elapsed = time.time() - t0
     ok = mismatches == 0 and elapsed < 300.0
@@ -190,7 +190,7 @@ def test_criterion_6_verify_determinism(tmp_path):
     json_outputs = []
     for name in ("a.json", "b.json"):
         report = tmp_path / name
-        code = main(args + ["--report", str(report), "--json"])
+        code = main(args + ["--report", str(report)])
         assert code == 0
         json_outputs.append(report.read_bytes())
     ok = outputs[0] == outputs[1] and json_outputs[0] == json_outputs[1]

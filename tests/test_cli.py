@@ -4,8 +4,8 @@ from dataclasses import fields, replace
 import pytest
 
 from dmp import bounds
-from dmp.cli import main
-from dmp.graph import parse_edge_list_text, parse_json_text, to_edge_list_text
+from dmp.cli import _oracle_graphs, main
+from dmp.graph import parse_edge_list_text, parse_json_text, to_edge_list_text, to_json_text
 from dmp.constructions import complete_graph, list_families, path_graph
 from dmp.operations import OP_KINDS
 from dmp.solver import mp_exact
@@ -58,6 +58,15 @@ def test_mp_reads_the_named_format(tmp_path, capsys, fmt, text, code, out):
     path.write_text(text)
     assert main(["mp", str(path), "--format", fmt]) == code
     assert capsys.readouterr().out == out
+
+
+def test_mp_deeply_nested_json_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": 1, "edges": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    assert main(["mp", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid JSON graph: nested too deeply\n"
 
 
 def test_mp_parse_failure_exits_1(tmp_path, capsys):
@@ -183,8 +192,83 @@ def test_construct_writes_normalized_file(tmp_path):
 def test_construct_json_output(tmp_path):
     out = tmp_path / "p.json"
     assert main(["construct", "--family", "path", "--n", "3",
-                 "--out", str(out), "--json"]) == 0
+                 "--out", str(out)]) == 0
     assert parse_json_text(out.read_text()) == path_graph(3)
+
+
+@pytest.mark.parametrize("name", ["G.JSON", "g.Json"])
+def test_construct_writes_json_when_the_name_ends_in_json(tmp_path, name):
+    out = tmp_path / name
+    assert main(["construct", "--family", "path", "--n", "3", "--out", str(out)]) == 0
+    assert out.read_text() == '{"n": 3, "edges": [[0, 1], [1, 2]]}\n'
+
+
+def test_op_writes_json_when_the_name_ends_in_json(tmp_path, capsys):
+    path = _write(tmp_path, "p4.txt", path_graph(4))
+    out = tmp_path / "h.json"
+    assert main(["op", path, "--op", "add-edge", "--u", "0", "--v", "3", "--out", str(out)]) == 0
+    assert out.read_text() == '{"n": 4, "edges": [[0, 1], [0, 3], [1, 2], [2, 3]]}\n'
+
+
+@pytest.mark.parametrize("name", ["g.txt", "g", "g.json.txt"])
+def test_any_other_name_gets_edge_list_text(tmp_path, capsys, name):
+    out, partner = tmp_path / name, tmp_path / ("partner-" + name)
+    assert main(["construct", "--family", "product_star_star", "--m", "3",
+                 "--out", str(out), "--partner-out", str(partner)]) == 0
+    assert out.read_text() == "4 3\n0 1\n0 2\n0 3\n"
+    assert partner.read_text() == out.read_text()
+    path = _write(tmp_path, "p3.txt", path_graph(3))
+    assert main(["op", path, "--op", "add-edge", "--u", "0", "--v", "2", "--out", str(out)]) == 0
+    assert out.read_text() == "3 3\n0 1\n0 2\n1 2\n"
+
+
+def test_op_reads_json_input_and_partner_by_content(tmp_path, capsys):
+    # .txt names holding JSON: the reader goes by the text, not the name
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(to_json_text(complete_graph(3)))
+    b.write_text(to_json_text(path_graph(3)) + "\n")
+    out = tmp_path / "prod.txt"
+    assert main(["op", str(a), "--op", "cartesian", "--partner", str(b), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("3 -> 6, ")
+    assert parse_edge_list_text(out.read_text()).n == 9
+    assert main(["op", str(a), "--op", "delete-edge", "--u", "0", "--v", "1"]) == 0
+    assert capsys.readouterr().out == "3 -> 2, bounds [1, 8], pass\n"
+
+
+@pytest.mark.parametrize("flags, unknown", [
+    (["op", "GRAPH", "--op", "add-edge", "--u", "0", "--v", "2", "--json"], "--json"),
+    (["op", "GRAPH", "--op", "add-edge", "--u", "0", "--v", "2", "--out", "OUT.json",
+      "--json"], "--json"),
+    (["op", "GRAPH", "--op", "add-edge", "--u", "0", "--v", "2", "--format", "json"],
+     "--format json"),
+    (["construct", "--family", "path", "--n", "3", "--out", "OUT.json", "--json"], "--json"),
+    (["verify", "--theorem", "edge_add", "--model", "gnp", "--n", "4", "--p", "0.5",
+      "--trials", "2", "--report", "OUT.json", "--json"], "--json"),
+], ids=["op-json", "op-out-json", "op-format", "construct-json", "verify-json"])
+def test_removed_format_flags_exit_1(tmp_path, capsys, flags, unknown):
+    graph = _write(tmp_path, "p4.txt", path_graph(4))
+    out = str(tmp_path / "out")
+    assert main([f.replace("GRAPH", graph).replace("OUT", out) for f in flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unrecognized arguments: {unknown}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["p4.txt"]
+
+
+def test_two_outputs_naming_one_file_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["construct", "--family", "join_star_complete", "--m", "2", "--k", "3",
+                 "--out", "same.txt", "--partner-out", "./same.txt"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: two outputs name the same file: same.txt and ./same.txt\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_op_may_write_over_its_input(tmp_path, capsys):
+    path = _write(tmp_path, "g.txt", path_graph(3))
+    assert main(["op", path, "--op", "add-edge", "--u", "0", "--v", "2", "--out", path]) == 0
+    assert parse_edge_list_text((tmp_path / "g.txt").read_text()) == complete_graph(3)
 
 
 def test_construct_partner_out(tmp_path, capsys):
@@ -239,12 +323,24 @@ def test_verify_json_report(tmp_path):
     report = tmp_path / "rep.json"
     assert main(["verify", "--theorem", "join", "--model", "gnp",
                  "--n", "4", "--p", "0.5", "--trials", "10", "--seed", "1",
-                 "--report", str(report), "--json"]) == 0
+                 "--report", str(report)]) == 0
     import json
 
     obj = json.loads(report.read_text())
     assert obj["summary"]["failures"] == 0
     assert len(obj["records"]) == obj["summary"]["records"]
+
+
+def test_verify_report_format_follows_the_name(tmp_path):
+    args = ["verify", "--theorem", "edge_add", "--model", "gnp", "--n", "5", "--p", "0.5",
+            "--trials", "4", "--seed", "3", "--report"]
+    for name in ("r.csv", "r", "R.JSON"):
+        assert main(args + [str(tmp_path / name)]) == 0
+    assert (tmp_path / "r").read_bytes() == (tmp_path / "r.csv").read_bytes()
+    assert (tmp_path / "r.csv").read_text().startswith("theorem,seed,trial,")
+    import json
+
+    assert json.loads((tmp_path / "R.JSON").read_text())["summary"]["trials"] == 4
 
 
 @pytest.mark.parametrize("raw", ["\u0660.\u0665", "0_5", " 0.5"],
@@ -370,6 +466,12 @@ def test_oracle_check_exits_2_on_a_mismatch(monkeypatch, capsys):
     monkeypatch.setattr("dmp.cli.mp_oracle", lambda g: 0)  # no graph has mp 0
     assert main(["oracle-check", "--max-n", "3", "--trials", "2", "--seed", "7"]) == 2
     assert capsys.readouterr().out == "mismatches=13 graphs=13\n"
+
+
+def test_oracle_graphs_are_built_one_at_a_time():
+    graphs = _oracle_graphs(12, 100_000, 0)
+    assert iter(graphs) is graphs
+    assert next(graphs) == path_graph(1)
 
 
 def test_oracle_check_rejects_large_max_n():

@@ -160,11 +160,26 @@ def test_parse_accepts_any_edge_orientation_and_order(parse, text):
         "11 1\n0 1_0\n",
         "3 1\n+0 1\n",
         "3 1\n0 \u0661\n",
+        "2 1\n0\u00a01\n",
+        "2 1\n0\u20031\n",
+        "2\u00a01\n0 1\n",
     ],
 )
 def test_parse_edge_list_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_edge_list_text(text)
+
+
+@pytest.mark.parametrize("text", ["2 1\n0\t1\n", "2 1\r\n0 1\r\n", "\t2  1 \n 0 \t1\t\n"],
+                         ids=["tab", "crlf", "mixed"])
+def test_parse_edge_list_accepts_ascii_whitespace(text):
+    assert parse_edge_list_text(text) == path_graph(2)
+
+
+def test_parse_json_rejects_deep_nesting():
+    text = '{"n": 1, "edges": ' + "[" * 200_000 + "]" * 200_000 + "}"
+    with pytest.raises(ValueError, match=r"^invalid JSON graph: nested too deeply$"):
+        parse_json_text(text)
 
 
 _JSON_SHAPE = 'JSON graph must be {"n": int, "edges": [[u, v], ...]}'

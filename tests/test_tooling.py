@@ -1,8 +1,13 @@
 """Guards for what README and pyproject.toml promise about the package itself."""
 
 import ast
+import re
 import sys
 from pathlib import Path
+
+import pytest
+
+from dmp.cli import _COMMANDS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "dmp").glob("*.py"))
@@ -14,6 +19,17 @@ def test_readme_library_block_gives_its_values():
     exec(readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0], namespace)
     assert namespace["res"].value == 4
     assert namespace["rec"].passed
+
+
+@pytest.mark.parametrize("cmd", list(_COMMANDS))
+def test_readme_synopsis_lists_every_flag(cmd, capsys):
+    block = (ROOT / "README.md").read_text().split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    # one entry per command: its `dmp <cmd>` line with the indented lines that continue it
+    (synopsis,) = [s for s in re.split(r"\n(?=dmp )", block) if s.startswith(f"dmp {cmd} ")]
+    with pytest.raises(SystemExit):
+        main([cmd, "--help"])
+    helped = set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"}
+    assert set(re.findall(r"--[\w-]+", synopsis)) == helped
 
 
 def test_modules_import_only_the_standard_library_and_parse_as_python_3_10():
