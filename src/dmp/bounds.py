@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from heapq import heapify, heappop, heappush
@@ -38,8 +38,7 @@ class PreconditionError(ValueError):
     """The theorem's precondition does not hold for the given graph/target."""
 
 
-@dataclass(frozen=True)
-class TheoremSpec:
+class TheoremSpec(NamedTuple):
     """One proven bound: mp after ``operation`` lies in [lower, upper].
 
     ``hypothesis(g, targets)`` takes a tuple of targets and returns the first
@@ -273,22 +272,57 @@ def check_bound(
 # random graph models
 
 
-@dataclass(frozen=True)
 class Model:
-    """A random graph model; ``draw(rng)`` validates the fields and draws one graph."""
+    """A random graph model; ``draw(rng)`` validates the fields and draws one graph.
 
+    A model is an immutable value.  ``_fields`` names its fields, the parameters of
+    its constructor in order; two models are equal when they are of the same class
+    and their fields are equal.
+    """
+
+    __slots__ = ()
     name: ClassVar[str]
+    _fields: ClassVar[tuple[str, ...]] = ()
+
+    def __init__(self, *values) -> None:
+        for field, value in zip(self._fields, values):
+            object.__setattr__(self, field, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{type(self).__qualname__}({values})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # unpickling would assign the slots
+        return type(self), self._values()
 
     def describe(self) -> str:
-        values = ";".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        values = ";".join(f"{field}={getattr(self, field)}" for field in self._fields)
         return f"{self.name}({values})"
 
 
-@dataclass(frozen=True)
 class Gnp(Model):
     name = "gnp"
-    n: int
-    p: float
+    __slots__ = _fields = ("n", "p")
+
+    def __init__(self, n: int, p: float) -> None:
+        super().__init__(n, p)
 
     def draw(self, rng: random.Random) -> Graph:
         if self.n < 1 or not 0.0 <= self.p <= 1.0:
@@ -302,10 +336,12 @@ class Gnp(Model):
         return from_edge_list(self.n, edges)
 
 
-@dataclass(frozen=True)
 class RandomTree(Model):
     name = "random_tree"
-    n: int
+    __slots__ = _fields = ("n",)
+
+    def __init__(self, n: int) -> None:
+        super().__init__(n)
 
     def draw(self, rng: random.Random) -> Graph:
         n = self.n
@@ -332,12 +368,12 @@ class RandomTree(Model):
         return from_edge_list(n, edges)
 
 
-@dataclass(frozen=True)
 class RandomBipartite(Model):
     name = "random_bipartite"
-    n1: int
-    n2: int
-    p: float
+    __slots__ = _fields = ("n1", "n2", "p")
+
+    def __init__(self, n1: int, n2: int, p: float) -> None:
+        super().__init__(n1, n2, p)
 
     def draw(self, rng: random.Random) -> Graph:
         n1, n2, p = self.n1, self.n2, self.p

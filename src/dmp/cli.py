@@ -12,7 +12,6 @@ import os
 import re
 import sys
 from collections.abc import Iterator
-from dataclasses import fields
 from pathlib import Path
 
 # graph and the solver names only; a handler or a parser build imports the rest
@@ -53,11 +52,12 @@ def _catalog_params() -> tuple[str, ...]:
 
 def _model_flags() -> dict:
     """verify model flags: every model's field names, in order of first appearance, with
-    their types (bounds postpones annotations, so a field's type is its name)."""
+    the types its constructor declares (bounds postpones annotations, so a type is its
+    name)."""
     from .bounds import MODELS
 
-    return {f.name: {"int": _int, "float": _float}[f.type]
-            for cls in MODELS.values() for f in fields(cls)}
+    return {name: {"int": _int, "float": _float}[cls.__init__.__annotations__[name]]
+            for cls in MODELS.values() for name in cls._fields}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,7 +91,7 @@ def _limits() -> SearchLimits:
 
 def _read_graph(path: str, fmt: str) -> gr.Graph:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")  # UTF-8, a leading BOM dropped
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     if fmt == "edgelist":
@@ -231,8 +231,7 @@ def _make_model(args):
     from .bounds import MODELS
 
     cls = MODELS[args.model]
-    names = [f.name for f in fields(cls)]
-    return cls(*_flag_values(args, names, _model_flags(), f"{args.model} model"))
+    return cls(*_flag_values(args, cls._fields, _model_flags(), f"{args.model} model"))
 
 
 def _cmd_verify(args) -> int:

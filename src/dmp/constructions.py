@@ -15,15 +15,13 @@ spine order), then pendant leaves in spine order, then auxiliary vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graph import Graph, from_edge_list
 from . import operations as ops
 
 
-@dataclass(frozen=True)
-class ConstructionInstance:
+class ConstructionInstance(NamedTuple):
     family: str
     params: dict[str, int]
     graph: Graph
@@ -33,15 +31,14 @@ class ConstructionInstance:
     claimed_mp_after: int
 
 
-@dataclass(frozen=True)
-class FamilyInfo:
+class FamilyInfo(NamedTuple):
     name: str
     params: tuple[tuple[str, int], ...]  # (param name, minimum value)
     theorem: str | None  # bound theorem the designated operation witnesses
     tight: str | None  # "low", "high" or None
     note: str
     # build(**params) -> (graph, operation, target, claimed_before, claimed_after)
-    build: Callable[..., tuple] = field(compare=False, repr=False)
+    build: Callable[..., tuple]
 
 
 def apply_designated(inst: ConstructionInstance) -> Graph:

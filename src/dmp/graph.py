@@ -17,15 +17,41 @@ written as an optional '-' and ASCII digits.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph: no loops, no multi-edges, symmetric adjacency."""
+    """Simple undirected graph: no loops, no multi-edges, symmetric adjacency.
 
+    An immutable value: two graphs are equal when their ``n`` and ``adj`` are.
+    """
+
+    __slots__ = ("n", "adj")
     n: int
     adj: tuple[frozenset[int], ...]
+
+    def __init__(self, n: int, adj: tuple[frozenset[int], ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.adj == other.adj
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adj))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, adj={self.adj!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # unpickling would assign the slots
+        return Graph, (self.n, self.adj)
 
     @property
     def m(self) -> int:
@@ -152,11 +178,21 @@ def to_json_text(g: Graph) -> str:
     return json.dumps({"n": g.n, "edges": [[u, v] for u, v in g.edges()]})
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, with a repeated key rejected: json.loads keeps only its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"invalid JSON graph: repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_json_text(text: str) -> Graph:
     import json
 
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON graph: {exc}") from None
     except RecursionError:  # the decoder recurses once per nested array or object

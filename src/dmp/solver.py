@@ -39,8 +39,8 @@ turn.  The best path is copied once: a long path costs linear time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 from .graph import Graph
 
@@ -51,36 +51,86 @@ class BudgetExceededError(RuntimeError):
     """Search node budget exhausted; the instance is too large, no value is returned."""
 
 
-@dataclass(frozen=True)
 class SearchLimits:
-    node_budget: int = 50_000_000
+    """The solver's node budget, at least 1.  An immutable value."""
 
-    def __post_init__(self) -> None:
-        if self.node_budget < 1:
-            raise ValueError(f"node budget must be >= 1, got {self.node_budget}")
+    __slots__ = ("node_budget",)
+    node_budget: int
+
+    def __init__(self, node_budget: int = 50_000_000) -> None:
+        if node_budget < 1:
+            raise ValueError(f"node budget must be >= 1, got {node_budget}")
+        object.__setattr__(self, "node_budget", node_budget)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.node_budget == other.node_budget
+
+    def __hash__(self) -> int:
+        return hash((self.node_budget,))
+
+    def __repr__(self) -> str:
+        return f"SearchLimits(node_budget={self.node_budget!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # unpickling would assign the slot
+        return SearchLimits, (self.node_budget,)
 
 
 _DEFAULT_LIMITS = SearchLimits()
 
 
-@dataclass(frozen=True)
-class MonotonePath:
+class MonotonePath(NamedTuple):
     vertices: tuple[int, ...]  # a path whose degrees are non-decreasing
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     nodes: int  # vertices pushed by the in-component search
     components: int  # connected components of equal-degree vertices
     largest_component: int  # vertices in the largest of them
     seconds: float
 
 
-@dataclass(frozen=True)
 class MpResult:
+    """mp(G), a witness path, and the search statistics.  An immutable value whose
+    equality and hash take ``value`` and ``witness`` only, not ``stats``."""
+
+    __slots__ = ("value", "witness", "stats")
     value: int
     witness: MonotonePath
-    stats: SearchStats | None = field(default=None, compare=False)
+    stats: SearchStats | None
+
+    def __init__(self, value: int, witness: MonotonePath,
+                 stats: SearchStats | None = None) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "stats", stats)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value and self.witness == other.witness
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.witness))
+
+    def __repr__(self) -> str:
+        return f"MpResult(value={self.value!r}, witness={self.witness!r}, stats={self.stats!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # unpickling would assign the slots
+        return MpResult, (self.value, self.witness, self.stats)
 
 
 def is_degree_monotone(g: Graph, vertices: list[int] | tuple[int, ...]) -> bool:

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -306,7 +305,7 @@ def test_record_flags_match_the_fraction_comparisons(tid):
 ])
 def test_record_flags_on_ends_set_by_hand(monkeypatch, lower, upper, passed):
     # C4 from P4 by edge_add: mp 3 before and 4 after, under ends set by hand
-    spec = replace(THEOREMS["edge_add"], bounds=lambda mp, n, p, np_: (lower, upper))
+    spec = THEOREMS["edge_add"]._replace(bounds=lambda mp, n, p, np_: (lower, upper))
     monkeypatch.setitem(THEOREMS, "edge_add", spec)
     rec = check_bound("edge_add", path_graph(4), (0, 3))
     assert (rec.mp_before, rec.mp_after, rec.lower, rec.upper) == (3, 4, lower, upper)

@@ -1,5 +1,4 @@
 import re
-from dataclasses import fields, replace
 
 import pytest
 
@@ -67,6 +66,37 @@ def test_mp_deeply_nested_json_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: invalid JSON graph: nested too deeply\n"
+
+
+def test_mp_repeated_json_key_exits_1(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 2, "edges": [[0, 1]], "n": 3}')
+    assert main(["mp", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid JSON graph: repeated key 'n'\n"
+
+
+# a leading byte-order mark is dropped: the file is read as UTF-8 with BOM
+@pytest.mark.parametrize("text, fmt", [
+    ('{"n": 2, "edges": [[0, 1]]}', "auto"),
+    ('{"n": 2, "edges": [[0, 1]]}', "json"),
+    ("2 1\n0 1\n", "auto"),
+    ("2 1\n0 1\n", "edgelist"),
+], ids=["json_auto", "json", "edgelist_auto", "edgelist"])
+def test_mp_reads_a_file_with_a_byte_order_mark(tmp_path, capsys, text, fmt):
+    path = tmp_path / "g"
+    path.write_bytes(("\ufeff" + text).encode("utf-8"))
+    assert main(["mp", str(path), "--format", fmt]) == 0
+    assert capsys.readouterr().out == "mp=2\n"
+
+
+def test_op_reads_a_partner_file_with_a_byte_order_mark(tmp_path, capsys):
+    path = _write(tmp_path, "g.txt", path_graph(2))
+    partner = tmp_path / "h.json"
+    partner.write_bytes(b"\xef\xbb\xbf" + to_json_text(path_graph(2)).encode())
+    assert main(["op", path, "--op", "join", "--partner", str(partner)]) == 0
+    assert capsys.readouterr().out.startswith("2 -> 4, ")
 
 
 def test_mp_parse_failure_exits_1(tmp_path, capsys):
@@ -513,7 +543,7 @@ def test_verify_rejects_sample_below_one(theorem, sample, capsys):
 
 def test_op_exits_2_on_a_bound_violation(tmp_path, capsys, monkeypatch):
     # C4 from P4 by edge_add has mp' = 4, outside ends set by hand to [5, 9]
-    spec = replace(bounds.THEOREMS["edge_add"], bounds=lambda mp, n, p, np_: (5, 9))
+    spec = bounds.THEOREMS["edge_add"]._replace(bounds=lambda mp, n, p, np_: (5, 9))
     monkeypatch.setitem(bounds.THEOREMS, "edge_add", spec)
     path = _write(tmp_path, "p4.txt", path_graph(4))
     out = tmp_path / "c4.txt"
@@ -561,8 +591,8 @@ def test_verify_help_names_every_theorem_model_and_model_flag(capsys):
     assert re.search(r"--theorem \{([^}]*)\}", out)[1].split(",") == list(bounds.THEOREMS)
     assert re.search(r"--model \{([^}]*)\}", out)[1].split(",") == list(bounds.MODELS)
     for cls in bounds.MODELS.values():
-        for f in fields(cls):
-            assert f"--{f.name} {f.name.upper()}" in out
+        for name in cls._fields:
+            assert f"--{name} {name.upper()}" in out
 
 
 def test_op_help_names_every_op_choice(capsys):

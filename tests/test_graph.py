@@ -194,6 +194,8 @@ _MALFORMED_JSON = [
     ('{"edges": []}', _JSON_SHAPE),
     ('{"n": null, "edges": []}', _JSON_SHAPE),
     ('{"n": 2, "edges": {}}', _JSON_SHAPE),
+    ('{"n": 2, "edges": [[0, 1]], "n": 3}', "invalid JSON graph: repeated key 'n'"),
+    ('{"n": 2, "edges": [], "edges": [[0, 1]]}', "invalid JSON graph: repeated key 'edges'"),
 ]
 
 

@@ -34,9 +34,9 @@ def _fresh(code: str, *args: str, cwd) -> list[str]:
 
 
 @pytest.mark.parametrize("argv, dmp_modules, absent", [
-    (["mp", "g.txt"], {"graph", "solver"}, {"fractions", "json"}),
+    (["mp", "g.txt"], {"graph", "solver"}, {"fractions", "json", "dataclasses", "inspect"}),
     (["construct", "--family", "path", "--n=6"],
-     {"graph", "solver", "operations", "constructions"}, {"fractions"}),
+     {"graph", "solver", "operations", "constructions"}, {"fractions", "dataclasses", "inspect"}),
     (["op", "g.txt", "--op", "subdivide", "--u", "0", "--v", "1"],
      {"graph", "solver", "operations", "bounds"}, set()),
 ], ids=["mp", "construct", "op"])

@@ -60,11 +60,11 @@ CASES = {
         "SearchLimits(node_budget=7)", "node_budget", False),
     "MonotonePath": (
         lambda: MonotonePath((0, 1)), [MonotonePath((1, 0))],
-        "MonotonePath(vertices=(0, 1))", "vertices", False),
+        "MonotonePath(vertices=(0, 1))", "vertices", True),
     "SearchStats": (
         _stats, [SearchStats(3, 1, 2, 0.5), SearchStats(2, 2, 2, 0.5),
                  SearchStats(2, 1, 3, 0.5), _stats(0.25)],
-        "SearchStats(nodes=2, components=1, largest_component=2, seconds=0.5)", "nodes", False),
+        "SearchStats(nodes=2, components=1, largest_component=2, seconds=0.5)", "nodes", True),
     "ConstructionInstance": (
         _instance, [_instance(family="cycle"), _instance(params={"n": 4}),
                     _instance(graph=_graph((0, 1))), _instance(operation="contract"),
@@ -72,18 +72,18 @@ CASES = {
                     _instance(claimed_mp_after=4)],
         "ConstructionInstance(family='path', params={'n': 3}, graph=Graph(n=3, adj=("
         "frozenset({1}), frozenset({0, 2}), frozenset({1}))), operation='subdivide', "
-        "target=(0, 1), claimed_mp_before=2, claimed_mp_after=3)", "target", False),
+        "target=(0, 1), claimed_mp_before=2, claimed_mp_after=3)", "target", True),
     "FamilyInfo": (
         _info, [_info(name="cycle"), _info(params=(("n", 4),)), _info(theorem=None),
-                _info(tight="low"), _info(note="")],
+                _info(tight="low"), _info(note=""), _info(build=min)],
         "FamilyInfo(name='path', params=(('n', 3),), theorem='subdivision', tight='high', "
-        "note='path P_n')", "note", False),
+        "note='path P_n', build=<built-in function max>)", "note", True),
     "TheoremSpec": (
         _spec, [_spec(id="u"), _spec(operation="join"), _spec(hypothesis=min),
                 _spec(bounds=min), _spec(targets=min), _spec(model="gnp")],
         f"TheoremSpec(id='t', operation='add-vertex', hypothesis={_holds!r}, "
         f"bounds=<built-in function max>, targets={_neighbor_sets!r}, model=None)",
-        "model", False),
+        "model", True),
     "Model": (Model, [Gnp(1, 0.5)], "Model()", "name", False),
     "Gnp": (
         lambda: Gnp(5, 0.5), [Gnp(6, 0.5), Gnp(5, 0.25), RandomBipartite(5, 1, 0.5)],
@@ -99,7 +99,8 @@ CASES = {
 
 def _field_values(value):
     """The value's fields in order: its constructor takes them in that order."""
-    return tuple(getattr(value, name) for name in inspect.signature(type(value)).parameters)
+    parameters = inspect.signature(type(value)).parameters.values()
+    return tuple(getattr(value, p.name) for p in parameters if p.kind is p.POSITIONAL_OR_KEYWORD)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -152,7 +153,6 @@ def test_a_value_survives_a_pickle_round_trip(name, protocol):
     assert type(copy) is type(value) and copy == value and repr(copy) == repr(value)
 
 
-def test_stats_and_build_take_no_part_in_equality():
+def test_stats_take_no_part_in_equality():
     assert _result(stats=_stats(0.25)) == _result()
     assert hash(_result(stats=_stats(0.25))) == hash(_result())
-    assert _info(build=min) == _info()
