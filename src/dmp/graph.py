@@ -10,8 +10,8 @@ formats are supported:
 
 The writers emit the normal form, each edge as u < v and the edges sorted
 lexicographically.  The readers accept any orientation and order of the
-edges but reject a repeated edge, and every number must be an integer
-written as an optional '-' and ASCII digits.
+edges but reject a repeated edge (and a repeated JSON key), and every number
+must be an integer written as an optional '-' and ASCII digits.
 """
 
 from __future__ import annotations
