@@ -325,15 +325,11 @@ class Gnp(Model):
         super().__init__(n, p)
 
     def draw(self, rng: random.Random) -> Graph:
-        if self.n < 1 or not 0.0 <= self.p <= 1.0:
+        n, p, rand = self.n, self.p, rng.random  # bound once, read for every pair
+        if n < 1 or not 0.0 <= p <= 1.0:
             raise ValueError(f"bad gnp parameters {self}")
-        edges = [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if rng.random() < self.p
-        ]
-        return from_edge_list(self.n, edges)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rand() < p]
+        return from_edge_list(n, edges)
 
 
 class RandomTree(Model):
@@ -376,15 +372,10 @@ class RandomBipartite(Model):
         super().__init__(n1, n2, p)
 
     def draw(self, rng: random.Random) -> Graph:
-        n1, n2, p = self.n1, self.n2, self.p
+        n1, n2, p, rand = self.n1, self.n2, self.p, rng.random
         if n1 < 1 or n2 < 1 or not 0.0 <= p <= 1.0:
             raise ValueError(f"bad bipartite parameters {self}")
-        edges = [
-            (u, n1 + w)
-            for u in range(n1)
-            for w in range(n2)
-            if rng.random() < p
-        ]
+        edges = [(u, n1 + w) for u in range(n1) for w in range(n2) if rand() < p]
         return from_edge_list(n1 + n2, edges)
 
 

@@ -71,18 +71,29 @@ class Graph:
 
 
 def from_edge_list(n: int, edges: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> Graph:
-    """Build a graph from an edge list; duplicates collapse, loops are rejected."""
+    """Build a graph from an edge list; duplicates collapse, loops are rejected.
+
+    A set is made only for a vertex with an edge: every isolated vertex gets
+    one shared empty frozenset, so memory follows the edges, not ``n``.
+    """
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
-    adj: list[set[int]] = [set() for _ in range(n)]
+    empty: frozenset[int] = frozenset()
+    adj: list[set[int] | frozenset[int]] = [empty] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) has an endpoint out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop ({u}, {v}) not allowed")
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph(n, tuple(frozenset(a) for a in adj))
+        if adj[u] is empty:
+            adj[u] = {v}
+        else:
+            adj[u].add(v)
+        if adj[v] is empty:
+            adj[v] = {u}
+        else:
+            adj[v].add(u)
+    return Graph(n, tuple(map(frozenset, adj)))  # frozenset(empty) is empty itself
 
 
 def degree_sequence(g: Graph) -> list[int]:

@@ -27,13 +27,14 @@ over equal-degree neighbours only, from each start a in descending
 ``feed[a]`` (then ascending id).  Every path it reaches raises the global
 best and ``feed[h]`` of each higher-degree neighbour h of its end.  No path
 from a can have more than ``feed[a] + |C|`` vertices, so the component is
-finished once that is at most its floor: ``min(feed[h])`` over the vertices
-h adjacent to C from above, or the global best when there are none.  Feeds
-only grow, so the floor is recomputed only when a raised ``feed[h]`` was at
-the floor, or on a new best when C has no such h.  A single-vertex
-component needs no search.  ``into[h]`` is the segment whose end set
-``feed[h]``; the witness is the best segment, then ``into`` of each start in
-turn.  The best path is copied once: a long path costs linear time.
+finished once that is at most its floor: ``min(feed[h])`` over the exits of
+C, the vertices h adjacent to C from above.  The floor of a component with no
+exits is the global best itself, read directly on each new best.  Feeds only
+grow, so with exits the floor is recomputed only when a raised ``feed[h]``
+was at the floor.  A single-vertex component needs no search.  ``into[h]``
+is the segment whose end set ``feed[h]``; the witness is the best segment,
+then ``into`` of each start in turn.  The best path is copied once: a long
+path costs linear time.
 """
 
 from __future__ import annotations
@@ -194,11 +195,13 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
         placed[first] = True
         components += 1
         if not same[first]:  # a single-vertex component needs no search
-            val, segment = feed[first] + 1, (first,)
+            val, segment = feed[first] + 1, None  # (first,), built once it is stored
             if val > best_len:
-                best_len, best = val, segment
+                best_len, best = val, (first,)
+                segment = best
             for h in up[first]:
                 if feed[h] < val:
+                    segment = segment or (first,)
                     feed[h], into[h] = val, segment
             continue
         comp = [first]
@@ -210,8 +213,8 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
                     comp.append(w)
         size = len(comp)
         largest = max(largest, size)
-        exits = {h for v in comp for h in up[v]}
-        floor = min([feed[h] for h in exits], default=best_len)
+        exits = set(chain.from_iterable(map(up.__getitem__, comp)))
+        floor = min(map(feed.__getitem__, exits)) if exits else best_len
 
         order = sorted(comp)
         order.sort(key=feed.__getitem__, reverse=True)  # stable: ties stay by id
@@ -241,7 +244,7 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
                         segment = segment or tuple(path)
                         feed[h], into[h] = val, segment
                 if moved:
-                    floor = min([feed[h] for h in exits], default=best_len)
+                    floor = min(map(feed.__getitem__, exits)) if exits else best_len
                     if base + size <= floor:
                         # no path from this start or a later one can raise a value
                         if best is None:

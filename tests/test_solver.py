@@ -367,6 +367,9 @@ def test_exact_matches_class_dp_beyond_oracle_size():
 
 # sha256 over the witnesses of _witness_graphs, see _witness_digest
 WITNESS_DIGEST = "3f1a35d21f844eaf90a42a86d489f790b8af2bf20a84d14590c35c40faceb770"
+# stats.nodes and stats.components summed over _witness_graphs, most of them
+# small components; a solver change moves them only on purpose
+WORK_TOTALS = {"nodes": 71_939, "components": 3_370}
 
 
 def _witness_graphs():
@@ -403,3 +406,9 @@ def test_witness_digest_is_pinned():
     # witness links; record a new digest only on purpose, and say so in
     # CHANGES.md
     assert _witness_digest() == WITNESS_DIGEST
+
+
+def test_work_on_the_witness_graphs_is_pinned():
+    stats = [mp_exact(g).stats for g in _witness_graphs()]
+    assert {"nodes": sum(s.nodes for s in stats),
+            "components": sum(s.components for s in stats)} == WORK_TOTALS
