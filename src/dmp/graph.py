@@ -73,8 +73,8 @@ class Graph:
 def from_edge_list(n: int, edges: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> Graph:
     """Build a graph from an edge list; duplicates collapse, loops are rejected.
 
-    A set is made only for a vertex with an edge: every isolated vertex gets
-    one shared empty frozenset, so memory follows the edges, not ``n``.
+    A set is made only for a vertex with an edge; every isolated vertex shares
+    one empty frozenset, so it costs only its slot in the adjacency tuple.
     """
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
