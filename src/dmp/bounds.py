@@ -29,7 +29,7 @@ from heapq import heapify, heappop, heappush
 from math import ceil, floor
 from typing import ClassVar, NamedTuple
 
-from .graph import Graph, from_edge_list, is_connected, is_tree, is_triangle_free
+from .graph import Graph, _Frozen, from_edge_list, is_connected, is_tree, is_triangle_free
 from . import operations as ops
 from .solver import SearchLimits, mp_exact
 
@@ -272,45 +272,11 @@ def check_bound(
 # random graph models
 
 
-class Model:
-    """A random graph model; ``draw(rng)`` validates the fields and draws one graph.
-
-    A model is an immutable value.  ``_fields`` names its fields, the parameters of
-    its constructor in order; two models are equal when they are of the same class
-    and their fields are equal.
-    """
+class Model(_Frozen):
+    """A random graph model; ``draw(rng)`` validates the fields and draws one graph."""
 
     __slots__ = ()
     name: ClassVar[str]
-    _fields: ClassVar[tuple[str, ...]] = ()
-
-    def __init__(self, *values) -> None:
-        for field, value in zip(self._fields, values):
-            object.__setattr__(self, field, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, field) for field in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        values = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
-        return f"{type(self).__qualname__}({values})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # unpickling would assign the slots
-        return type(self), self._values()
 
     def describe(self) -> str:
         values = ";".join(f"{field}={getattr(self, field)}" for field in self._fields)

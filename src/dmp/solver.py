@@ -43,7 +43,7 @@ import time
 from itertools import chain
 from typing import NamedTuple
 
-from .graph import Graph
+from .graph import Graph, _Frozen
 
 ORACLE_MAX_N = 12  # largest graph mp_oracle accepts: 2^n * n states
 
@@ -52,36 +52,16 @@ class BudgetExceededError(RuntimeError):
     """Search node budget exhausted; the instance is too large, no value is returned."""
 
 
-class SearchLimits:
+class SearchLimits(_Frozen):
     """The solver's node budget, at least 1.  An immutable value."""
 
-    __slots__ = ("node_budget",)
+    __slots__ = _fields = ("node_budget",)
     node_budget: int
 
     def __init__(self, node_budget: int = 50_000_000) -> None:
         if node_budget < 1:
             raise ValueError(f"node budget must be >= 1, got {node_budget}")
-        object.__setattr__(self, "node_budget", node_budget)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.node_budget == other.node_budget
-
-    def __hash__(self) -> int:
-        return hash((self.node_budget,))
-
-    def __repr__(self) -> str:
-        return f"SearchLimits(node_budget={self.node_budget!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # unpickling would assign the slot
-        return SearchLimits, (self.node_budget,)
+        super().__init__(node_budget)
 
 
 _DEFAULT_LIMITS = SearchLimits()
@@ -98,11 +78,11 @@ class SearchStats(NamedTuple):
     seconds: float
 
 
-class MpResult:
+class MpResult(_Frozen):
     """mp(G), a witness path, and the search statistics.  An immutable value whose
     equality and hash take ``value`` and ``witness`` only, not ``stats``."""
 
-    __slots__ = ("value", "witness", "stats")
+    __slots__ = _fields = ("value", "witness", "stats")
     value: int
     witness: MonotonePath
     stats: SearchStats | None
@@ -113,25 +93,8 @@ class MpResult:
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "stats", stats)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value == other.value and self.witness == other.witness
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.witness))
-
-    def __repr__(self) -> str:
-        return f"MpResult(value={self.value!r}, witness={self.witness!r}, stats={self.stats!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # unpickling would assign the slots
-        return MpResult, (self.value, self.witness, self.stats)
+    def _key(self) -> tuple:
+        return self.value, self.witness
 
 
 def is_degree_monotone(g: Graph, vertices: list[int] | tuple[int, ...]) -> bool:

@@ -4,7 +4,8 @@ import pytest
 
 from dmp import bounds
 from dmp.cli import _oracle_graphs, main
-from dmp.graph import parse_edge_list_text, parse_json_text, to_edge_list_text, to_json_text
+from dmp.graph import (MAX_FILE_VERTICES, parse_edge_list_text, parse_json_text, to_edge_list_text,
+                       to_json_text)
 from dmp.constructions import complete_graph, list_families, path_graph
 from dmp.operations import OP_KINDS
 from dmp.solver import mp_exact
@@ -75,6 +76,26 @@ def test_mp_repeated_json_key_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: invalid JSON graph: repeated key 'n'\n"
+
+
+@pytest.mark.parametrize("name, text", [("big.txt", "{n} 0\n"),
+                                        ("big.json", '{{"n": {n}, "edges": []}}')],
+                         ids=["edgelist", "json"])
+@pytest.mark.parametrize("argv", [
+    ["mp", "BIG"],
+    ["op", "BIG", "--op", "delete-vertex", "--vertex", "0"],
+    ["op", "SMALL", "--op", "join", "--partner", "BIG"],
+], ids=["mp", "op", "op-partner"])
+def test_a_file_declaring_too_many_vertices_exits_1(tmp_path, capsys, argv, name, text):
+    big = tmp_path / name
+    big.write_text(text.format(n=MAX_FILE_VERTICES + 1))
+    small = _write(tmp_path, "p2.txt", path_graph(2))
+    paths = {"BIG": str(big), "SMALL": small}
+    assert main([paths.get(arg, arg) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: declared vertex count {MAX_FILE_VERTICES + 1} exceeds "
+                            f"the limit of {MAX_FILE_VERTICES} for a graph file\n")
 
 
 # a leading byte-order mark is dropped: the file is read as UTF-8 with BOM

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 
 from dmp.graph import (
+    MAX_FILE_VERTICES,
     Graph,
     from_edge_list,
     degree_sequence,
@@ -101,6 +102,29 @@ def test_isolated_vertices_cost_one_pointer_each(build):
         tracemalloc.stop()
     assert g.n == 200_000 and g.m == 0
     assert peak < 8 * 2**20
+
+
+_TOO_MANY = MAX_FILE_VERTICES + 1
+
+
+@pytest.mark.parametrize("text", [f"{_TOO_MANY} 0\n", f'{{"n": {_TOO_MANY}, "edges": []}}'],
+                         ids=["edgelist", "json"])
+def test_a_file_declaring_too_many_vertices_is_rejected_before_any_allocation(text):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+                f"declared vertex count {_TOO_MANY} exceeds the limit of "
+                f"{MAX_FILE_VERTICES} for a graph file")):
+            parse_graph_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the graph would take about 16 MB
+
+
+def test_the_vertex_limit_holds_for_files_only():
+    assert parse_graph_text(f"{MAX_FILE_VERTICES} 0\n").n == MAX_FILE_VERTICES
+    assert from_edge_list(_TOO_MANY, [(0, 1)]).n == _TOO_MANY
 
 
 def test_degree_out_of_range():

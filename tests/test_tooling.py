@@ -98,6 +98,10 @@ PRIVATE_NAMES_SHARED = {
     ("cli.py", "bounds", "_evaluate"),
     # oracle-check seeds its random graphs by the campaign's rule
     ("cli.py", "bounds", "_trial_seed"),
+    # SearchLimits and MpResult take the immutable-value protocol from its one base
+    ("solver.py", "graph", "_Frozen"),
+    # so do the random graph models
+    ("bounds.py", "graph", "_Frozen"),
 }
 
 
@@ -121,3 +125,17 @@ def test_private_names_stay_in_their_module():
                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                    and node.value.id in aliases and _private(node.attr)}
     assert shared == PRIVATE_NAMES_SHARED
+
+
+VALUE_PROTOCOL = ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__", "__reduce__")
+
+
+def test_the_value_protocol_is_written_once():
+    defined = {}  # method name -> the classes that define it
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name in VALUE_PROTOCOL:
+                        defined.setdefault(item.name, []).append(f"{path.stem}.{node.name}")
+    assert defined == {name: ["graph._Frozen"] for name in VALUE_PROTOCOL}

@@ -2,6 +2,7 @@
 immutability and pickling.  Each case builds two equal instances afresh, lists
 instances that differ from them in one field, and names a field to assign."""
 
+import hashlib
 import inspect
 import pickle
 
@@ -156,3 +157,32 @@ def test_a_value_survives_a_pickle_round_trip(name, protocol):
 def test_stats_take_no_part_in_equality():
     assert _result(stats=_stats(0.25)) == _result()
     assert hash(_result(stats=_stats(0.25))) == hash(_result())
+
+
+# sha256 of pickle.dumps at protocol 0 followed by HIGHEST_PROTOCOL (5), and the
+# tuple each slot class hashes as: --jobs ships these bytes to and from its workers
+WIRE = {
+    "Graph": ("ae682e6d896f0ec44769d5a191fffed2cd1fea585525bd58f415f9b74fb6fc87",
+              lambda g: (g.n, g.adj)),
+    "MpResult": ("ce04df6a05b0a0cd6f282248be2383cc9b8d6656542107349b93c94e203ede52",
+                 lambda r: (r.value, r.witness)),
+    "SearchLimits": ("e20e8526bb46f115008ff6a7497d0f3d2666a8ce08d340cbb0ecdceff7c51c6e",
+                     lambda s: (s.node_budget,)),
+    "Model": ("bc4231a63e77b7419414ae0cd1b1bee50b7279775dde9dba6a8086aebdb3bd7f",
+              lambda m: ()),
+    "Gnp": ("801e4f23d89141006006266021ce58e8913542bca63fd47c2da7d3e728128b26",
+            lambda m: (m.n, m.p)),
+    "RandomTree": ("076ede9dc13011c31bbaec3c37c3bbcae9605bba759aab5141d64071fc1d721b",
+                   lambda m: (m.n,)),
+    "RandomBipartite": ("7e7b77589ff2c02db45e2c69228d88472e7f9bd061dd531280418c979cb716fa",
+                        lambda m: (m.n1, m.n2, m.p)),
+}
+
+
+@pytest.mark.parametrize("name", WIRE)
+def test_pickled_bytes_and_hash_are_pinned(name):
+    value = CASES[name][0]()
+    digest, key = WIRE[name]
+    data = pickle.dumps(value, 0) + pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert hash(value) == hash(key(value))
