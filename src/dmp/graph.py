@@ -5,8 +5,9 @@ every slot class of the package, is an immutable value through one base,
 ``_Frozen``, so graphs hash, pickle and can be shared freely between workers.
 Two text formats are supported:
 
-* edge-list text: first line ``n m``, then m lines ``u v``, single spaces,
-  newline-terminated;
+* edge-list text: first line ``n m``, then m lines ``u v``.  The writers put
+  one space between the numbers and end with a newline; the readers take any
+  ASCII blanks between and around them (so CRLF) and a missing final newline;
 * JSON: ``{"n": int, "edges": [[u, v], ...]}``.
 
 The writers emit the normal form, each edge as u < v and the edges sorted
@@ -97,27 +98,35 @@ class Graph(_Frozen):
 def from_edge_list(n: int, edges: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> Graph:
     """Build a graph from an edge list; duplicates collapse, loops are rejected.
 
-    A set is made only for a vertex with an edge; every isolated vertex shares
-    one empty frozenset, so it costs only its slot in the adjacency tuple.
+    A list is made only for a vertex with an edge; every isolated vertex shares
+    one empty frozenset, so it costs only its slot in the adjacency tuple.  Each
+    list is replaced by its frozenset in place, so the build peaks only a little
+    above what the graph keeps.
     """
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
     empty: frozenset[int] = frozenset()
-    adj: list[set[int] | frozenset[int]] = [empty] * n
+    adj: list[list[int] | frozenset[int]] = [empty] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) has an endpoint out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop ({u}, {v}) not allowed")
         if adj[u] is empty:
-            adj[u] = {v}
+            adj[u] = [v]
         else:
-            adj[u].add(v)
+            adj[u].append(v)
         if adj[v] is empty:
-            adj[v] = {u}
+            adj[v] = [u]
         else:
-            adj[v].add(u)
-    return Graph(n, tuple(map(frozenset, adj)))  # frozenset(empty) is empty itself
+            adj[v].append(u)
+    # lists, not sets: a freed set's block would go to the next frozenset, scattering
+    # them and slowing every later pass over adj; set(a) gives each frozenset the
+    # layout, and so the iteration and pickle order, of a set built edge by edge
+    for v, a in enumerate(adj):
+        if a is not empty:
+            adj[v] = frozenset(set(a))
+    return Graph(n, tuple(adj))
 
 
 def degree_sequence(g: Graph) -> list[int]:

@@ -16,14 +16,15 @@ A non-decreasing path is a chain of maximal equal-degree segments.  Each
 segment is a simple path inside one connected component of ``G[V_d]``, the
 subgraph on the vertices of degree d, and consecutive segments are joined by
 an edge whose degree strictly increases.  ``mp_exact`` therefore takes the
-components in ascending degree (ties by smallest vertex id) and searches
-each one once.  ``feed[v]`` is the vertex count of the longest path ending at
-a lower-degree neighbour of v; it is final before v's component is reached,
-and a path that enters the component at a has ``feed[a] + 1`` vertices.
+components in ascending degree (ties by smallest vertex id) and closes each
+once: a single vertex inline, as it needs no search, and a larger component C
+by one call of ``_search_component``.  ``feed[v]`` is the vertex count of the
+longest path ending at a lower-degree neighbour of v; it is final before v's
+component is reached, and a path entering C at a has ``feed[a] + 1`` vertices.
 
-Inside a component C the search is a depth-first search with an explicit
-stack, so path length is not limited by Python's recursion limit.  It runs
-over equal-degree neighbours only, from each start a in descending
+``_search_component`` runs a depth-first search with an explicit stack, so
+path length is not limited by Python's recursion limit.  It runs over
+equal-degree neighbours only, from each start a in descending
 ``feed[a]`` (then ascending id).  Every path it reaches raises the global
 best and ``feed[h]`` of each higher-degree neighbour h of its end.  No path
 from a can have more than ``feed[a] + |C|`` vertices, so the component is
@@ -31,10 +32,9 @@ finished once that is at most its floor: ``min(feed[h])`` over the exits of
 C, the vertices h adjacent to C from above.  The floor of a component with no
 exits is the global best itself, read directly on each new best.  Feeds only
 grow, so with exits the floor is recomputed only when a raised ``feed[h]``
-was at the floor.  A single-vertex component needs no search.  ``into[h]``
-is the segment whose end set ``feed[h]``; the witness is the best segment,
-then ``into`` of each start in turn.  The best path is copied once: a long
-path costs linear time.
+was at the floor.  ``into[h]`` is the segment whose end set ``feed[h]``;
+``mp_exact`` builds the witness from the best segment, then ``into`` of each
+start in turn.  The best path is copied once: a long path costs linear time.
 """
 
 from __future__ import annotations
@@ -115,6 +115,60 @@ def is_degree_monotone(g: Graph, vertices: list[int] | tuple[int, ...]) -> bool:
     return non_decr or non_incr
 
 
+def _search_component(comp, same, up, feed, into, on_path, best_len, best, nodes, budget):
+    """Search one equal-degree component of two or more vertices, raising ``feed``
+    and ``into`` at its exits; return the new ``(best_len, best, nodes)``."""
+    size = len(comp)
+    exits = set(chain.from_iterable(map(up.__getitem__, comp)))
+    floor = min(map(feed.__getitem__, exits)) if exits else best_len
+    path: list[int] = []
+    for a in sorted(sorted(comp), key=feed.__getitem__, reverse=True):  # ties by id
+        base = feed[a]
+        if base + size <= floor:
+            break
+        stack, w = [], a  # one iterator over equal-degree neighbours per path vertex
+        while True:  # push w, then find the next w or finish this start
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(f"node budget {budget} exceeded in an equal-"
+                                          f"degree component of {size} vertices")
+            on_path[w] = True
+            path.append(w)
+            val = base + len(path)
+            moved = False  # whether the floor may have risen
+            if val > best_len:
+                best_len, best = val, None  # None: the current path, copied before it shrinks
+                moved = not exits
+            segment = None
+            for h in up[w]:
+                if feed[h] < val:
+                    moved = moved or feed[h] == floor
+                    segment = segment or tuple(path)
+                    feed[h], into[h] = val, segment
+            if moved:
+                floor = min(map(feed.__getitem__, exits)) if exits else best_len
+                if base + size <= floor:
+                    # no later start can raise a value: the component's feeds are fixed,
+                    # starts go in non-increasing feed and the floor only rises; on_path
+                    # stays set, as later components are disjoint from this one
+                    return best_len, tuple(path) if best is None else best, nodes
+            stack.append(iter(same[w]))
+            while stack:  # next w: an equal-degree neighbour off the path
+                for w in stack[-1]:
+                    if not on_path[w]:
+                        break
+                else:
+                    if best is None:
+                        best = tuple(path)
+                    stack.pop()
+                    on_path[path.pop()] = False
+                    continue
+                break
+            else:
+                break
+    return best_len, best, nodes
+
+
 def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
     """Exact mp(G) by degree-class decomposition over non-decreasing paths.
 
@@ -145,10 +199,9 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
 
     feed = [0] * n
     into: list[tuple | None] = [None] * n  # the segment whose end set feed[v]
-    best_len, best = 0, ()  # the best path's last segment; None: the current path
+    best_len, best = 0, ()  # the best path's last segment
     placed = [False] * n
     on_path = [False] * n
-    path: list[int] = []
     nodes = components = 0
     largest = 1
 
@@ -174,62 +227,9 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
                 if not placed[w]:
                     placed[w] = True
                     comp.append(w)
-        size = len(comp)
-        largest = max(largest, size)
-        exits = set(chain.from_iterable(map(up.__getitem__, comp)))
-        floor = min(map(feed.__getitem__, exits)) if exits else best_len
-
-        order = sorted(comp)
-        order.sort(key=feed.__getitem__, reverse=True)  # stable: ties stay by id
-        for a in order:
-            base = feed[a]
-            if base + size <= floor:
-                break
-            stack, w = [], a  # one iterator over equal-degree neighbours per path vertex
-            while True:  # push w, then find the next w or finish this start
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceededError(
-                        f"node budget {budget} exceeded in an equal-degree "
-                        f"component of {size} vertices"
-                    )
-                on_path[w] = True
-                path.append(w)
-                val = base + len(path)
-                moved = False  # whether the floor may have risen
-                if val > best_len:
-                    best_len, best = val, None  # copied before the path shrinks
-                    moved = not exits
-                segment = None
-                for h in up[w]:
-                    if feed[h] < val:
-                        moved = moved or feed[h] == floor
-                        segment = segment or tuple(path)
-                        feed[h], into[h] = val, segment
-                if moved:
-                    floor = min(map(feed.__getitem__, exits)) if exits else best_len
-                    if base + size <= floor:
-                        # no path from this start or a later one can raise a value
-                        if best is None:
-                            best = tuple(path)
-                        for v in path:
-                            on_path[v] = False
-                        path.clear()
-                        break
-                stack.append(iter(same[w]))
-                while stack:  # next w: an equal-degree neighbour off the path
-                    for w in stack[-1]:
-                        if not on_path[w]:
-                            break
-                    else:
-                        if best is None:
-                            best = tuple(path)
-                        stack.pop()
-                        on_path[path.pop()] = False
-                        continue
-                    break
-                else:
-                    break
+        largest = max(largest, len(comp))
+        best_len, best, nodes = _search_component(
+            comp, same, up, feed, into, on_path, best_len, best, nodes, budget)
 
     segments = []
     while best:  # each segment's start was fed by the segment before it

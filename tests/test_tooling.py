@@ -139,3 +139,19 @@ def test_the_value_protocol_is_written_once():
                     if isinstance(item, ast.FunctionDef) and item.name in VALUE_PROTOCOL:
                         defined.setdefault(item.name, []).append(f"{path.stem}.{node.name}")
     assert defined == {name: ["graph._Frozen"] for name in VALUE_PROTOCOL}
+
+
+MAX_FUNCTION_LINES = 80  # a new solver route goes beside the component search, not inside it
+
+
+def test_no_function_is_longer_than_the_cap():
+    long = []
+    for path in MODULES:
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                size = sum(1 for line in lines[node.lineno - 1:node.end_lineno] if line.strip())
+                if size > MAX_FUNCTION_LINES:
+                    long.append((path.name, node.name, size))
+    assert long == []
