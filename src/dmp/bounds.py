@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -311,23 +311,27 @@ class RandomTree(Model):
             raise ValueError(f"bad tree size {n}")
         if n == 1:
             return from_edge_list(1, [])
-        # uniform labeled tree via a random Pruefer sequence
-        seq = [rng.randrange(n) for _ in range(n - 2)]
-        deg = [1] * n
-        for x in seq:
-            deg[x] += 1
-        leaves = [v for v in range(n) if deg[v] == 1]
-        heapify(leaves)
-        edges = []
-        for x in seq:
-            v = heappop(leaves)
-            edges.append((min(v, x), max(v, x)))
-            deg[x] -= 1
-            if deg[x] == 1:
-                heappush(leaves, x)
-        u, v = heappop(leaves), heappop(leaves)
-        edges.append((min(u, v), max(u, v)))
-        return from_edge_list(n, edges)
+        return from_edge_list(n, _pruefer_edges(n, rng))
+
+
+def _pruefer_edges(n: int, rng: random.Random) -> Iterator[tuple[int, int]]:
+    """The edges of a uniform labeled tree on n >= 2 vertices, decoded one at a time
+    from a random Pruefer sequence.  rng.choice(vertices) takes from the random
+    stream what rng.randrange(n) takes and returns the vertex's shared int object,
+    so the sequence holds no int of its own."""
+    vertices = list(range(n))
+    seq = [rng.choice(vertices) for _ in range(n - 2)]
+    deg = [1] * n
+    for x in seq:
+        deg[x] += 1
+    leaves = [v for v in vertices if deg[v] == 1]
+    heapify(leaves)
+    for x in seq:
+        yield heappop(leaves), x
+        deg[x] -= 1
+        if deg[x] == 1:
+            heappush(leaves, x)
+    yield heappop(leaves), heappop(leaves)
 
 
 class RandomBipartite(Model):

@@ -14,12 +14,16 @@ The writers emit the normal form, each edge as u < v and the edges sorted
 lexicographically.  The readers accept any orientation and order of the
 edges but reject a repeated edge (and a repeated JSON key) and a declared
 vertex count above ``MAX_FILE_VERTICES``, and every number must be an integer
-written as an optional '-' and ASCII digits.
+written as an optional '-' and ASCII digits.  The writers format a block of
+vertices at a time and the edge-list reader parses a chunk of lines at a time,
+so neither holds an object per edge beside the text and the graph.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from typing import ClassVar
 
 
@@ -95,37 +99,50 @@ class Graph(_Frozen):
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
 
 
-def from_edge_list(n: int, edges: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> Graph:
-    """Build a graph from an edge list; duplicates collapse, loops are rejected.
+def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Build a graph from any iterable of vertex pairs, consumed once.
 
-    A list is made only for a vertex with an edge; every isolated vertex shares
-    one empty frozenset, so it costs only its slot in the adjacency tuple.  Each
-    list is replaced by its frozenset in place, so the build peaks only a little
-    above what the graph keeps.
+    Duplicates collapse and loops are rejected; ``n`` and every endpoint must be
+    an int (a bool is not).  A list is made only for a vertex with an edge; every
+    isolated vertex shares one empty frozenset, so it costs only its slot in the
+    adjacency tuple.  Each list is replaced by its frozenset in place, so the
+    build peaks only a little above what the graph keeps.  The graph keeps one
+    int object per vertex with an edge, the first one the pairs gave for it,
+    however many equal objects they held (a reader makes one per number read).
     """
+    if type(n) is not int:
+        raise ValueError(f"vertex count must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
     empty: frozenset[int] = frozenset()
     adj: list[list[int] | frozenset[int]] = [empty] * n
+    ids: list[int | None] = [None] * n  # the int object the graph keeps for each vertex
     for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) has an endpoint out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop ({u}, {v}) not allowed")
         if adj[u] is empty:
             adj[u] = [v]
+            ids[u] = u
         else:
             adj[u].append(v)
         if adj[v] is empty:
             adj[v] = [u]
+            ids[v] = v
         else:
             adj[v].append(u)
     # lists, not sets: a freed set's block would go to the next frozenset, scattering
     # them and slowing every later pass over adj; set(a) gives each frozenset the
-    # layout, and so the iteration and pickle order, of a set built edge by edge
+    # layout, and so the iteration and pickle order, of a set built edge by edge.
+    # CPython caches one object for each int from -5 to 256, so the ids of a graph
+    # with n <= 257 are shared already and only larger graphs map them to ids[]
+    same = ids.__getitem__
     for v, a in enumerate(adj):
         if a is not empty:
-            adj[v] = frozenset(set(a))
+            adj[v] = frozenset(set(map(same, a) if n > 257 else a))
     return Graph(n, tuple(adj))
 
 
@@ -182,55 +199,87 @@ def is_tree(g: Graph) -> bool:
 MAX_FILE_VERTICES = 1_000_000
 
 
-def _from_parsed_edges(n: int, edges: list) -> Graph:
-    """from_edge_list for file input, where a repeated edge or a declared n above
-    MAX_FILE_VERTICES is an error."""
+def _from_parsed_edges(n: int, listed: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """from_edge_list for file input, where a repeated edge among the ``listed`` ones
+    or a declared n above MAX_FILE_VERTICES is an error."""
     if n > MAX_FILE_VERTICES:
         raise ValueError(f"declared vertex count {n} exceeds the limit of "
                          f"{MAX_FILE_VERTICES} for a graph file")
     g = from_edge_list(n, edges)
-    if g.m != len(edges):
-        raise ValueError(f"duplicate edges: {len(edges)} listed, {g.m} distinct")
+    if g.m != listed:
+        raise ValueError(f"duplicate edges: {listed} listed, {g.m} distinct")
     return g
 
 
-# an integer is an optional '-' and ASCII digits: int() alone would also take
-# '_', '+', blanks and non-ASCII digits; a line of the edge-list text is two of them,
-# separated by ASCII whitespace only (re.ASCII: a plain \s also takes U+00A0)
+# an integer is an optional '-' and ASCII digits: int() alone would also take '_',
+# '+', blanks and non-ASCII digits; a line of the edge-list text is two of them
+# between runs of ASCII blanks (spelled out: \s would also take the newline and,
+# without re.ASCII, U+00A0).  _NOT_A_PAIR matches, empty, at the start of each line
+# that is not such a pair, so one search finds the first malformed line
 _INT = "-?[0-9]+"
-_PAIR = re.compile(rf"\s*({_INT})\s+({_INT})\s*", re.ASCII)
+_NOT_A_PAIR = re.compile(rf"^(?![ \t\r\f\v]*{_INT}[ \t\r\f\v]+{_INT}[ \t\r\f\v]*$)", re.MULTILINE)
 
 
 def _pair(line: str, expected: str) -> tuple[int, int]:
-    match = _PAIR.fullmatch(line)
-    if match is None:
+    if _NOT_A_PAIR.match(line):
         raise ValueError(f"{expected}, got {line!r}")
-    return int(match[1]), int(match[2])
+    u, v = line.split()
+    return int(u), int(v)
+
+
+_BLOCK = 1024  # vertices whose edges a writer formats at a time
+_CHUNK = 1 << 16  # characters of edge lines the reader splits at a time
+
+
+def _ranges(n: int) -> Iterator[range]:
+    """The vertices in blocks: the writers make a string per block, so only one
+    block's pieces are alive beside the text, which peaks at about twice its size."""
+    return (range(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
 
 
 def to_edge_list_text(g: Graph) -> str:
-    edges = g.edges()
-    lines = [f"{g.n} {len(edges)}"]
-    lines.extend(f"{u} {v}" for u, v in edges)
-    return "\n".join(lines) + "\n"
+    adj = g.adj
+    blocks = ("".join([f"{u} {v}\n" for u in us for v in sorted(adj[u]) if u < v])
+              for us in _ranges(g.n))
+    return f"{g.n} {g.m}\n" + "".join(blocks)
+
+
+def _numbers(text: str, pos: int) -> Iterator[Iterator[int]]:
+    """The integers of text[pos:], a chunk of whole lines at a time."""
+    while pos < len(text):
+        cut = text.find("\n", pos + _CHUNK)
+        if cut < 0:
+            cut = len(text)
+        yield map(int, text[pos:cut].split())
+        pos = cut + 1
 
 
 def parse_edge_list_text(text: str) -> Graph:
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
+    # split("\n") without its empty last piece: a final newline ends the last line
+    lines = text.count("\n") + (text != "" and text[-1] != "\n")
     if not lines:
         raise ValueError("empty edge-list input")
-    n, m = _pair(lines[0], "header must be 'n m'")
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
-    return _from_parsed_edges(n, [_pair(line, "edge line must be 'u v'") for line in lines[1:]])
+    head = text.find("\n")
+    if head < 0:
+        head = len(text)
+    n, m = _pair(text[:head], "header must be 'n m'")
+    if lines - 1 != m:
+        raise ValueError(f"expected {m} edge lines, found {lines - 1}")
+    if m:  # every line is checked before anything is built, as the edges stream
+        bad = _NOT_A_PAIR.search(text, head + 1, len(text) - (text[-1] == "\n"))
+        if bad is not None:
+            end = text.find("\n", bad.start())
+            _pair(text[bad.start():end if end >= 0 else len(text)], "edge line must be 'u v'")
+    numbers = chain.from_iterable(_numbers(text, head + 1))
+    return _from_parsed_edges(n, m, zip(numbers, numbers))
 
 
 def to_json_text(g: Graph) -> str:
-    import json  # here, not at the top: reading or writing edge lists needs no json
-
-    return json.dumps({"n": g.n, "edges": [[u, v] for u, v in g.edges()]})
+    """The text json.dumps gives for {"n": n, "edges": [[u, v], ...]}, made without json."""
+    adj = g.adj
+    blocks = (", ".join([f"[{u}, {v}]" for u in us for v in sorted(adj[u]) if u < v])
+              for us in _ranges(g.n))
+    return f'{{"n": {g.n}, "edges": [' + ", ".join(filter(None, blocks)) + "]}"
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -257,9 +306,9 @@ def parse_json_text(text: str) -> Graph:
     if type(n) is not int or not isinstance(edges, list):
         raise ValueError('JSON graph must be {"n": int, "edges": [[u, v], ...]}')
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is type(e[1]) is int):
             raise ValueError(f"bad edge entry {e!r}")
-    return _from_parsed_edges(n, edges)
+    return _from_parsed_edges(n, len(edges), edges)
 
 
 def parse_graph_text(text: str) -> Graph:

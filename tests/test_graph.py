@@ -1,3 +1,4 @@
+import json
 import pickle
 import random
 import re
@@ -29,7 +30,7 @@ from dmp.constructions import (
     path_graph,
     star_graph,
 )
-from dmp.bounds import Gnp, random_graph
+from dmp.bounds import Gnp, RandomTree, random_graph
 
 from strategies import graphs
 
@@ -65,6 +66,22 @@ def test_bad_sizes_raise(make, message):
         make()
 
 
+@pytest.mark.parametrize("n, edges", [
+    (2, [(0, True)]), (2, [(False, 1)]), (2, [(0, 1.0)]), (3, [("0", 1)]), (True, []), (2.0, []),
+], ids=["bool", "bool-first", "float", "str", "bool-n", "float-n"])
+def test_from_edge_list_rejects_a_non_int(n, edges):
+    # a bool endpoint used to build a graph whose writers emit `0 True` and
+    # `[[0, true]]`, which both readers reject
+    with pytest.raises(ValueError, match="an int"):
+        from_edge_list(n, edges)
+
+
+def test_from_edge_list_takes_any_iterable_of_pairs_once():
+    pairs = iter([(0, 1), (1, 2)])
+    assert from_edge_list(3, pairs) == from_edge_list(3, [(0, 1), (1, 2)])
+    assert next(pairs, None) is None
+
+
 def test_from_edge_list_rejects_loop():
     with pytest.raises(ValueError, match="loop"):
         from_edge_list(3, [(1, 1)])
@@ -88,19 +105,25 @@ def test_sparse_build_keeps_the_value_contract():
         assert copy == g and hash(copy) == hash(g)
 
 
+def _traced(make):
+    """make() under tracemalloc: its result, the bytes it left allocated and its peak."""
+    tracemalloc.start()
+    try:
+        result = make()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
+
+
 @pytest.mark.parametrize("build", [
     lambda: from_edge_list(200_000, []),
     lambda: parse_graph_text("200000 0\n"),
 ], ids=["from_edge_list", "parse_graph_text"])
 def test_isolated_vertices_cost_one_pointer_each(build):
-    # a list and a tuple of 200,000 pointers are 3.2 MB; a set per vertex
+    # two lists and a tuple of 200,000 pointers are 4.8 MB; a set per vertex
     # made the peak 85.7 MiB
-    tracemalloc.start()
-    try:
-        g = build()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    g, _, peak = _traced(build)
     assert g.n == 200_000 and g.m == 0
     assert peak < 8 * 2**20
 
@@ -110,12 +133,7 @@ def test_a_build_peaks_close_to_what_the_graph_keeps():
     # vertex's set beside its frozenset made the build peak at 2.06 times that
     rng = random.Random(0)
     edges = [(v, rng.randrange(v)) for v in range(1, 200_000)]
-    tracemalloc.start()
-    try:
-        g = from_edge_list(200_000, edges)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    g, kept, peak = _traced(lambda: from_edge_list(200_000, edges))
     assert g.m == 199_999
     assert peak < 1.25 * kept
 
@@ -126,16 +144,63 @@ _TOO_MANY = MAX_FILE_VERTICES + 1
 @pytest.mark.parametrize("text", [f"{_TOO_MANY} 0\n", f'{{"n": {_TOO_MANY}, "edges": []}}'],
                          ids=["edgelist", "json"])
 def test_a_file_declaring_too_many_vertices_is_rejected_before_any_allocation(text):
-    tracemalloc.start()
-    try:
+    def parse():
         with pytest.raises(ValueError, match=re.escape(
                 f"declared vertex count {_TOO_MANY} exceeds the limit of "
                 f"{MAX_FILE_VERTICES} for a graph file")):
             parse_graph_text(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, _, peak = _traced(parse)
     assert peak < 2**20  # the graph would take about 16 MB
+
+
+@pytest.fixture(scope="module")
+def drawn_tree():
+    """A 200,000-vertex random tree drawn under tracemalloc: (graph, kept, peak)."""
+    return _traced(lambda: RandomTree(200_000).draw(random.Random(0)))
+
+
+def _int_objects(g):
+    return len({id(x) for a in g.adj for x in a})
+
+
+def test_a_draw_peaks_close_to_what_the_tree_keeps(drawn_tree):
+    # the Pruefer sequence of fresh ints and the list of edge tuples, alive beside
+    # the build, made the peak 1.33 times what the tree keeps, and the tree kept
+    # 273,483 int objects for its 200,000 vertices
+    g, kept, peak = drawn_tree
+    assert g.m == 199_999 and _int_objects(g) == g.n
+    assert peak < 1.15 * kept
+
+
+@pytest.mark.parametrize("write", [to_edge_list_text, to_json_text])
+def test_a_writer_peaks_near_its_text(drawn_tree, write):
+    # building g.edges() and a piece per edge made the peaks 13.9 and 9.7 times
+    # the text; a block of vertices at a time leaves about twice the text
+    text, _, peak = _traced(lambda: write(drawn_tree[0]))
+    assert peak < 2.5 * len(text)
+
+
+def _check_isolated_vertices(g, tree, n):
+    """g is the tree's edges on n vertices, keeping one int object per vertex with an edge."""
+    assert g.n == n and g.adj[:tree.n] == tree.adj and not any(g.adj[tree.n:])
+    assert _int_objects(g) == tree.n
+
+
+def test_the_edge_list_reader_peaks_close_to_what_the_graph_keeps(drawn_tree):
+    # the split lines and the parsed tuples, alive together, made the peak 1.49
+    # times what the graph keeps, and the graph kept an int per number read
+    tree = drawn_tree[0]
+    text = to_edge_list_text(tree).replace("200000 ", "201000 ", 1)
+    g, kept, peak = _traced(lambda: parse_edge_list_text(text))
+    _check_isolated_vertices(g, tree, 201_000)
+    assert peak < 1.15 * kept
+
+
+def test_the_json_reader_keeps_one_int_object_per_vertex_with_an_edge(drawn_tree):
+    tree = drawn_tree[0]
+    text = to_json_text(tree).replace('"n": 200000', '"n": 201000', 1)
+    _check_isolated_vertices(parse_json_text(text), tree, 201_000)
 
 
 def test_the_vertex_limit_holds_for_files_only():
@@ -194,6 +259,34 @@ def test_edge_list_text_format():
     assert to_edge_list_text(g) == "4 2\n0 1\n2 3\n"
 
 
+def _edge_list_reference(g):
+    """The edge-list text as written from the whole edge list at once."""
+    edges = g.edges()
+    return "\n".join([f"{g.n} {len(edges)}", *(f"{u} {v}" for u, v in edges)]) + "\n"
+
+
+def _json_reference(g):
+    return json.dumps({"n": g.n, "edges": [[u, v] for u, v in g.edges()]})
+
+
+@given(graphs(min_n=0))
+def test_writers_match_the_whole_list_forms(g):
+    assert to_edge_list_text(g) == _edge_list_reference(g)
+    assert to_json_text(g) == _json_reference(g)
+
+
+@pytest.mark.parametrize("g", [
+    from_edge_list(0, []),
+    from_edge_list(5, []),
+    from_edge_list(3000, [(0, 1), (2500, 2999)]),  # the middle block of vertices is empty
+    from_edge_list(3000, [(1500, 2999)]),  # the first block is empty
+    RandomTree(20_000).draw(random.Random(1)),
+], ids=["n0", "isolated", "middle-block-empty", "first-block-empty", "tree-20k"])
+def test_writers_match_the_whole_list_forms_across_blocks(g):
+    assert to_edge_list_text(g) == _edge_list_reference(g)
+    assert to_json_text(g) == _json_reference(g)
+
+
 @given(graphs())
 def test_edge_list_round_trip(g):
     assert parse_edge_list_text(to_edge_list_text(g)) == g
@@ -245,6 +338,33 @@ def test_parse_accepts_any_edge_orientation_and_order(parse, text):
 )
 def test_parse_edge_list_rejects_malformed(text):
     with pytest.raises(ValueError):
+        parse_edge_list_text(text)
+
+
+def _late_bad_line(line):
+    """A 30,000-vertex path's text, with its last edge line replaced by ``line`` and
+    its first by an edge out of range: the reader splits it in several chunks."""
+    lines = to_edge_list_text(path_graph(30_000)).split("\n")
+    lines[1], lines[-2] = "0 30000", line
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 2\n0 9\nx y\n", "edge line must be 'u v', got 'x y'"),
+    ("3 2\n0 1\n1 2 3", "edge line must be 'u v', got '1 2 3'"),
+    ("3 2\n0 1\n\n", "edge line must be 'u v', got ''"),
+    ("3 1\n0 9\n", "edge (0, 9) has an endpoint out of range for n=3"),
+    ("3 1\n1 1\n", "self-loop (1, 1) not allowed"),
+    ("3 2\n0 1\n1 0\n", "duplicate edges: 2 listed, 1 distinct"),
+    ("3 2\n0 1\n", "expected 2 edge lines, found 1"),
+    (_late_bad_line("29998 x"), "edge line must be 'u v', got '29998 x'"),
+    (_late_bad_line("29998 29999 "), "edge (0, 30000) has an endpoint out of range for n=30000"),
+], ids=["format-before-range", "last-line-unended", "blank-line", "range", "loop", "duplicate",
+        "count", "late-format-before-range", "late-range"])
+def test_parse_edge_list_reports_the_first_fault_in_check_order(text, message):
+    # every line's form is checked before any edge is built, so a malformed line
+    # is reported over an earlier edge that is out of range
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_edge_list_text(text)
 
 
