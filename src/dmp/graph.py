@@ -125,24 +125,19 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if u == v:
             raise ValueError(f"self-loop ({u}, {v}) not allowed")
         if adj[u] is empty:
-            adj[u] = [v]
+            adj[u] = []
             ids[u] = u
-        else:
-            adj[u].append(v)
         if adj[v] is empty:
-            adj[v] = [u]
+            adj[v] = []
             ids[v] = v
-        else:
-            adj[v].append(u)
+        adj[u].append(ids[v])
+        adj[v].append(ids[u])
     # lists, not sets: a freed set's block would go to the next frozenset, scattering
     # them and slowing every later pass over adj; set(a) gives each frozenset the
-    # layout, and so the iteration and pickle order, of a set built edge by edge.
-    # CPython caches one object for each int from -5 to 256, so the ids of a graph
-    # with n <= 257 are shared already and only larger graphs map them to ids[]
-    same = ids.__getitem__
+    # layout, and so the iteration and pickle order, of a set built edge by edge
     for v, a in enumerate(adj):
         if a is not empty:
-            adj[v] = frozenset(set(map(same, a) if n > 257 else a))
+            adj[v] = frozenset(set(a))
     return Graph(n, tuple(adj))
 
 
@@ -220,13 +215,6 @@ _INT = "-?[0-9]+"
 _NOT_A_PAIR = re.compile(rf"^(?![ \t\r\f\v]*{_INT}[ \t\r\f\v]+{_INT}[ \t\r\f\v]*$)", re.MULTILINE)
 
 
-def _pair(line: str, expected: str) -> tuple[int, int]:
-    if _NOT_A_PAIR.match(line):
-        raise ValueError(f"{expected}, got {line!r}")
-    u, v = line.split()
-    return int(u), int(v)
-
-
 _BLOCK = 1024  # vertices whose edges a writer formats at a time
 _CHUNK = 1 << 16  # characters of edge lines the reader splits at a time
 
@@ -262,14 +250,18 @@ def parse_edge_list_text(text: str) -> Graph:
     head = text.find("\n")
     if head < 0:
         head = len(text)
-    n, m = _pair(text[:head], "header must be 'n m'")
+    header = text[:head]
+    if _NOT_A_PAIR.match(header):
+        raise ValueError(f"header must be 'n m', got {header!r}")
+    n, m = map(int, header.split())
     if lines - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {lines - 1}")
     if m:  # every line is checked before anything is built, as the edges stream
         bad = _NOT_A_PAIR.search(text, head + 1, len(text) - (text[-1] == "\n"))
         if bad is not None:
             end = text.find("\n", bad.start())
-            _pair(text[bad.start():end if end >= 0 else len(text)], "edge line must be 'u v'")
+            line = text[bad.start():end if end >= 0 else len(text)]
+            raise ValueError(f"edge line must be 'u v', got {line!r}")
     numbers = chain.from_iterable(_numbers(text, head + 1))
     return _from_parsed_edges(n, m, zip(numbers, numbers))
 
