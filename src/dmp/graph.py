@@ -1,6 +1,11 @@
 """Immutable simple undirected graphs with dense integer vertex ids.
 
-Vertices are 0..n-1 and adjacency is a tuple of frozensets.  ``Graph``, like
+Vertices are 0..n-1 and adjacency is a tuple of int tuples, one per vertex,
+each strictly increasing; isolated vertices share the empty tuple.  That form
+is canonical, so two graphs are equal exactly when their edges are, and it
+keeps a vertex's neighbours in about a quarter of a frozenset's memory;
+``has_edge`` bisects it.  Every builder here and in ``operations`` keeps the
+invariant, and ``Graph.__init__`` trusts it without a check.  ``Graph``, like
 every slot class of the package, is an immutable value through one base,
 ``_Frozen``, so graphs hash, pickle and can be shared freely between workers.
 Two text formats are supported:
@@ -22,6 +27,7 @@ so neither holds an object per edge beside the text and the graph.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from itertools import chain
 from typing import ClassVar
@@ -72,19 +78,23 @@ class _Frozen:
 
 
 class Graph(_Frozen):
-    """Simple undirected graph: no loops, no multi-edges, symmetric adjacency."""
+    """Simple undirected graph: no loops, no multi-edges, symmetric adjacency.
+
+    ``adj[v]`` is the strictly increasing tuple of v's neighbours.  The
+    constructor does not check that; build graphs with ``from_edge_list`` or the
+    operations."""
 
     __slots__ = _fields = ("n", "adj")
     n: int
-    adj: tuple[frozenset[int], ...]
+    adj: tuple[tuple[int, ...], ...]
 
-    def __init__(self, n: int, adj: tuple[frozenset[int], ...]) -> None:
+    def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
 
     @property
     def m(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(map(len, self.adj)) // 2
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
@@ -92,11 +102,15 @@ class Graph(_Frozen):
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self.adj[u]
+        if not 0 <= u < self.n:
+            return False
+        a = self.adj[u]
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
-        return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
+        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -104,18 +118,19 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
     Duplicates collapse and loops are rejected; ``n`` and every endpoint must be
     an int (a bool is not).  A list is made only for a vertex with an edge; every
-    isolated vertex shares one empty frozenset, so it costs only its slot in the
-    adjacency tuple.  Each list is replaced by its frozenset in place, so the
-    build peaks only a little above what the graph keeps.  The graph keeps one
-    int object per vertex with an edge, the first one the pairs gave for it,
-    however many equal objects they held (a reader makes one per number read).
+    isolated vertex shares the empty tuple, so it costs only its slot in the
+    adjacency tuple.  Each list is replaced in place by its sorted tuple without
+    repeats, so the build peaks only a little above what the graph keeps.  The
+    graph keeps one int object per vertex with an edge, the first one the pairs
+    gave for it, however many equal objects they held (a reader makes one per
+    number read).
     """
     if type(n) is not int:
         raise ValueError(f"vertex count must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
-    empty: frozenset[int] = frozenset()
-    adj: list[list[int] | frozenset[int]] = [empty] * n
+    empty: tuple[int, ...] = ()
+    adj: list[list[int] | tuple[int, ...]] = [empty] * n
     ids: list[int | None] = [None] * n  # the int object the graph keeps for each vertex
     for u, v in edges:
         if type(u) is not int or type(v) is not int:
@@ -132,12 +147,12 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             ids[v] = v
         adj[u].append(ids[v])
         adj[v].append(ids[u])
-    # lists, not sets: a freed set's block would go to the next frozenset, scattering
-    # them and slowing every later pass over adj; set(a) gives each frozenset the
-    # layout, and so the iteration and pickle order, of a set built edge by edge
     for v, a in enumerate(adj):
-        if a is not empty:
-            adj[v] = frozenset(set(a))
+        if len(a) > 1:
+            if len(set(a)) < len(a):  # a repeated edge
+                a = list(set(a))
+            a.sort()
+        adj[v] = tuple(a)  # tuple(()) is () itself
     return Graph(n, tuple(adj))
 
 
@@ -148,12 +163,15 @@ def degree_sequence(g: Graph) -> list[int]:
 
 def is_triangle_free(g: Graph) -> bool:
     """True iff no three vertices are mutually adjacent."""
-    for u in range(g.n):
-        for v in g.adj[u]:
-            if v <= u:
-                continue
-            if g.adj[u] & g.adj[v]:
-                return False
+    adj = g.adj
+    for u, a in enumerate(adj):
+        # a triangle shows at its smallest vertex u, as two adjacent neighbours above u
+        i = bisect_left(a, u)
+        if len(a) - i > 1:
+            later = set(a[i:])
+            for v in a[i:]:
+                if not later.isdisjoint(adj[v]):
+                    return False
     return True
 
 
@@ -190,7 +208,8 @@ def is_tree(g: Graph) -> bool:
 # the largest vertex count a graph file may declare: the declared n, not the file's
 # size, sets what parse and solve allocate, about 224 bytes per vertex (parsing and
 # solving an edgeless 200,000-vertex graph peak at 42.8 MiB under tracemalloc on
-# 64-bit CPython 3.11), so a header alone costs at most about 214 MiB
+# 64-bit CPython 3.11; isolated vertices share one empty tuple, so nearly all of it
+# is the solver's lists per vertex), so a header alone costs at most about 214 MiB
 MAX_FILE_VERTICES = 1_000_000
 
 
@@ -227,7 +246,7 @@ def _ranges(n: int) -> Iterator[range]:
 
 def to_edge_list_text(g: Graph) -> str:
     adj = g.adj
-    blocks = ("".join([f"{u} {v}\n" for u in us for v in sorted(adj[u]) if u < v])
+    blocks = ("".join([f"{u} {v}\n" for u in us for v in adj[u] if u < v])
               for us in _ranges(g.n))
     return f"{g.n} {g.m}\n" + "".join(blocks)
 
@@ -269,7 +288,7 @@ def parse_edge_list_text(text: str) -> Graph:
 def to_json_text(g: Graph) -> str:
     """The text json.dumps gives for {"n": n, "edges": [[u, v], ...]}, made without json."""
     adj = g.adj
-    blocks = (", ".join([f"[{u}, {v}]" for u in us for v in sorted(adj[u]) if u < v])
+    blocks = (", ".join([f"[{u}, {v}]" for u in us for v in adj[u] if u < v])
               for us in _ranges(g.n))
     return f'{{"n": {g.n}, "edges": [' + ", ".join(filter(None, blocks)) + "]}"
 

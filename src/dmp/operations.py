@@ -3,9 +3,12 @@ vertex add/delete, Cartesian product and join.
 
 All operations are pure and return new graphs.  Each result's adjacency is
 built directly from the parent's: a vertex whose neighbours do not change
-keeps the parent's frozenset, which is safe to share because graphs are
-immutable.  Operations that remove or merge vertices re-index densely and
-also return an old-to-new id map.  Product vertices are indexed
+keeps the parent's tuple, which is safe to share because graphs are
+immutable.  Every neighbour tuple stays strictly increasing without a sort
+where the order is known: a new vertex takes the largest id, re-indexing is
+monotone, and a join shifts the second graph above the first.  Operations
+that remove or merge vertices re-index densely and also return an
+old-to-new id map.  Product vertices are indexed
 (a, b) -> a * h.n + b.  ``apply`` dispatches by operation name, the one
 dispatch every caller goes through; its table also says what kind of target
 each operation takes: an edge (u, v), a vertex, the neighbors of a new
@@ -17,8 +20,32 @@ and the theorem checks in ``bounds`` call it before anything else.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 # from_edge_list stays importable here: perfbench's tracer patches it per module
 from .graph import Graph, from_edge_list  # noqa: F401
+
+
+def _insert(a: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """The sorted tuple a with v, which it lacks, put in order."""
+    i = bisect_left(a, v)
+    return a[:i] + (v,) + a[i:]
+
+
+def _remove(a: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """The sorted tuple a without v, which it holds."""
+    i = bisect_left(a, v)
+    return a[:i] + a[i + 1:]
+
+
+def _reindexed(a: tuple[int, ...], gone: int, id_map: dict[int, int]) -> tuple[int, ...]:
+    """The sorted tuple a, which lacks ``gone``, once that vertex is removed: each id
+    above it becomes its id_map value, one lower, so the order holds and the map's
+    int objects are shared; a tuple wholly below ``gone`` is returned as it is."""
+    if not a or a[-1] < gone:
+        return a
+    i = bisect_left(a, gone)
+    return a[:i] + tuple(map(id_map.__getitem__, a[i:]))
 
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:
@@ -30,8 +57,8 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
     if g.has_edge(u, v):
         raise ValueError(f"edge ({u}, {v}) already present")
     adj = list(g.adj)
-    adj[u] = adj[u] | {v}
-    adj[v] = adj[v] | {u}
+    adj[u] = _insert(adj[u], v)
+    adj[v] = _insert(adj[v], u)
     return Graph(g.n, tuple(adj))
 
 
@@ -40,8 +67,8 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
     if not g.has_edge(u, v):
         raise ValueError(f"edge ({u}, {v}) not present")
     adj = list(g.adj)
-    adj[u] = adj[u] - {v}
-    adj[v] = adj[v] - {u}
+    adj[u] = _remove(adj[u], v)
+    adj[v] = _remove(adj[v], u)
     return Graph(g.n, tuple(adj))
 
 
@@ -51,9 +78,9 @@ def subdivide_edge(g: Graph, u: int, v: int) -> Graph:
         raise ValueError(f"edge ({u}, {v}) not present")
     w = g.n
     adj = list(g.adj)
-    adj[u] = (adj[u] - {v}) | {w}
-    adj[v] = (adj[v] - {u}) | {w}
-    adj.append(frozenset((u, v)))
+    adj[u] = _remove(adj[u], v) + (w,)
+    adj[v] = _remove(adj[v], u) + (w,)
+    adj.append((u, v) if u < v else (v, u))
     return Graph(g.n + 1, tuple(adj))
 
 
@@ -69,12 +96,14 @@ def contract_edge(g: Graph, u: int, v: int) -> tuple[Graph, dict[int, int]]:
     keep, drop = min(u, v), max(u, v)
     id_map = {old: (old if old < drop else old - 1) for old in range(g.n) if old != drop}
     id_map[drop] = id_map[keep]
-    new_id, merged = id_map.__getitem__, (g.adj[keep] | g.adj[drop]) - {keep, drop}
-    adj = tuple(  # a neighbour of both endpoints sees them collapse to one id
-        frozenset(map(new_id, merged if old == keep else a))
-        for old, a in enumerate(g.adj) if old != drop
-    )
-    return Graph(g.n - 1, adj), id_map
+    adj = list(g.adj)
+    adj[keep] = tuple(sorted(set(adj[keep]).union(adj[drop]).difference((keep, drop))))
+    for w in g.adj[drop]:  # a neighbour of both endpoints sees them collapse to one id
+        if w != keep:
+            a = _remove(adj[w], drop)
+            adj[w] = a if g.has_edge(w, keep) else _insert(a, keep)
+    del adj[drop]
+    return Graph(g.n - 1, tuple([_reindexed(a, drop, id_map) for a in adj])), id_map
 
 
 def add_vertex(g: Graph, neighbors: list[int] | tuple[int, ...]) -> Graph:
@@ -89,8 +118,8 @@ def add_vertex(g: Graph, neighbors: list[int] | tuple[int, ...]) -> Graph:
     new = g.n
     adj = list(g.adj)
     for w in neighbors:
-        adj[w] = adj[w] | {new}
-    adj.append(frozenset(neighbors))
+        adj[w] = adj[w] + (new,)
+    adj.append(tuple(sorted(neighbors)))
     return Graph(g.n + 1, tuple(adj))
 
 
@@ -101,12 +130,11 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
     if g.n < 2:
         raise ValueError("deleting the last vertex would leave an empty graph")
     id_map = {old: (old if old < v else old - 1) for old in range(g.n) if old != v}
-    new_id, nbrs = id_map.__getitem__, g.adj[v]
-    adj = tuple(
-        frozenset(map(new_id, a - {v} if old in nbrs else a))
-        for old, a in enumerate(g.adj) if old != v
-    )
-    return Graph(g.n - 1, adj), id_map
+    adj = list(g.adj)
+    for w in g.adj[v]:
+        adj[w] = _remove(adj[w], v)
+    del adj[v]
+    return Graph(g.n - 1, tuple([_reindexed(a, v, id_map) for a in adj])), id_map
 
 
 def product_index(a: int, b: int, h_n: int) -> int:
@@ -121,9 +149,13 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     hn = h.n
     adj = []
     for a, ga in enumerate(g.adj):
-        row, column = a * hn, [c * hn for c in ga]  # offsets of (a, .) and of each (c, .), c ~ a
+        # (a, b)'s neighbours in order: (c, b) for c ~ a below a, (a, d) for d ~ b,
+        # then (c, b) for c ~ a above a; below and above hold the offsets of (c, .)
+        row, i = a * hn, bisect_left(ga, a)
+        below, above = [c * hn for c in ga[:i]], [c * hn for c in ga[i:]]
         for b, hb in enumerate(h.adj):
-            adj.append(frozenset([row + d for d in hb] + [x + b for x in column]))
+            adj.append(tuple([x + b for x in below] + [row + d for d in hb]
+                             + [x + b for x in above]))
     return Graph(g.n * hn, tuple(adj))
 
 
@@ -135,10 +167,12 @@ def join(g: Graph, h: Graph) -> Graph:
     if g.n < 1 or h.n < 1:
         raise ValueError("join operands must be non-empty")
     off = g.n
-    g_ids, h_ids = frozenset(range(off)), frozenset(range(off, off + h.n))
-    adj = [a | h_ids for a in g.adj]
-    adj.extend(g_ids.union([w + off for w in b]) for b in h.adj)
+    g_ids, h_ids = tuple(range(off)), tuple(range(off, off + h.n))
+    adj = [a + h_ids for a in g.adj]
+    adj.extend(g_ids + tuple([w + off for w in b]) for b in h.adj)
     return Graph(off + h.n, tuple(adj))
+
+
 # One row per operation: the kind of target it takes, and its call.  Each call
 # looks its operation up in the module globals at call time, so a wrapper
 # installed on this module (for tracing, say) also sees calls made through apply.

@@ -107,7 +107,7 @@ def is_degree_monotone(g: Graph, vertices: list[int] | tuple[int, ...]) -> bool:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
     for a, b in zip(vertices, vertices[1:]):
-        if b not in g.adj[a]:
+        if not g.has_edge(a, b):
             return False
     degs = [len(g.adj[v]) for v in vertices]
     non_decr = all(a <= b for a, b in zip(degs, degs[1:]))

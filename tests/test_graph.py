@@ -3,7 +3,7 @@ import pickle
 import random
 import re
 import tracemalloc
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given
@@ -31,6 +31,7 @@ from dmp.constructions import (
     star_graph,
 )
 from dmp.bounds import Gnp, RandomTree, random_graph
+from dmp.solver import is_degree_monotone
 
 from strategies import graphs
 
@@ -49,6 +50,8 @@ def test_from_edge_list_single_vertex():
 def test_from_edge_list_deduplicates():
     g = from_edge_list(4, [(0, 1), (1, 0), (2, 3)])
     assert g.edges() == [(0, 1), (2, 3)]
+    g = from_edge_list(5, [(3, 1), (1, 4), (0, 1), (1, 3), (2, 1), (4, 1)])
+    assert g.adj == ((1,), (0, 2, 3, 4), (1,), (1,), (1,)) and g.m == 4
 
 
 def test_from_edge_list_rejects_out_of_range():
@@ -87,18 +90,16 @@ def test_from_edge_list_rejects_loop():
         from_edge_list(3, [(1, 1)])
 
 
-def test_isolated_vertices_share_one_empty_frozenset():
+def test_isolated_vertices_share_one_empty_tuple():
     g = from_edge_list(6, [(1, 4), (4, 2)])
     first = g.adj[0]
-    assert type(first) is frozenset and not first
-    assert all(g.adj[v] is first for v in (3, 5))
-    assert all(type(a) is frozenset for a in g.adj)
+    assert first == () and all(g.adj[v] is first for v in (3, 5))
+    assert all(type(a) is tuple for a in g.adj)
 
 
 def test_sparse_build_keeps_the_value_contract():
     g = from_edge_list(6, [(1, 4), (4, 2)])
-    by_hand = Graph(6, (frozenset(), frozenset({4}), frozenset({4}), frozenset(),
-                        frozenset({1, 2}), frozenset()))
+    by_hand = Graph(6, ((), (4,), (4,), (), (1, 2), ()))
     assert g == by_hand and hash(g) == hash(by_hand) and repr(g) == repr(by_hand)
     for protocol in (0, pickle.HIGHEST_PROTOCOL):
         copy = pickle.loads(pickle.dumps(g, protocol))
@@ -129,13 +130,14 @@ def test_isolated_vertices_cost_one_pointer_each(build):
 
 
 def test_a_build_peaks_close_to_what_the_graph_keeps():
-    # a random recursive tree on 200,000 vertices keeps about 46 MiB; holding every
+    # a random recursive tree on 200,000 vertices keeps 12.2 MiB as int tuples and
+    # the build peaks at 20.3 MiB; as frozensets it kept 46.2 MiB, and holding every
     # vertex's set beside its frozenset made the build peak at 2.06 times that
     rng = random.Random(0)
     edges = [(v, rng.randrange(v)) for v in range(1, 200_000)]
-    g, kept, peak = _traced(lambda: from_edge_list(200_000, edges))
+    g, _, peak = _traced(lambda: from_edge_list(200_000, edges))
     assert g.m == 199_999
-    assert peak < 1.25 * kept
+    assert peak < 23 * 2**20
 
 
 _TOO_MANY = MAX_FILE_VERTICES + 1
@@ -161,24 +163,40 @@ def drawn_tree():
 
 
 def _int_objects(g):
-    return len({id(x) for a in g.adj for x in a})
+    return len(set(map(id, chain.from_iterable(g.adj))))
 
 
 def test_a_draw_peaks_close_to_what_the_tree_keeps(drawn_tree):
-    # the Pruefer sequence of fresh ints and the list of edge tuples, alive beside
-    # the build, made the peak 1.33 times what the tree keeps, and the tree kept
-    # 273,483 int objects for its 200,000 vertices
-    g, kept, peak = drawn_tree
+    # the tree keeps 18.3 MiB and the draw peaks at 30.6 MiB; with frozensets it
+    # kept 49.8 MiB and peaked at 52.8, and before that the Pruefer sequence of
+    # fresh ints and the list of edge tuples, alive beside the build, made the peak
+    # 1.33 times what the tree kept, and the tree kept 273,483 int objects for its
+    # 200,000 vertices
+    g, _, peak = drawn_tree
     assert g.m == 199_999 and _int_objects(g) == g.n
-    assert peak < 1.15 * kept
+    assert peak < 35 * 2**20
+
+
+@pytest.fixture(scope="module")
+def writer_peaks(drawn_tree):
+    """Each writer's text length and peak on the drawn tree, under one trace."""
+    def write_both():
+        sizes = {}
+        for write in (to_edge_list_text, to_json_text):
+            tracemalloc.reset_peak()
+            length = len(write(drawn_tree[0]))  # the text is freed before the next
+            sizes[write] = length, tracemalloc.get_traced_memory()[1]
+        return sizes
+
+    return _traced(write_both)[0]
 
 
 @pytest.mark.parametrize("write", [to_edge_list_text, to_json_text])
-def test_a_writer_peaks_near_its_text(drawn_tree, write):
+def test_a_writer_peaks_near_its_text(writer_peaks, write):
     # building g.edges() and a piece per edge made the peaks 13.9 and 9.7 times
     # the text; a block of vertices at a time leaves about twice the text
-    text, _, peak = _traced(lambda: write(drawn_tree[0]))
-    assert peak < 2.5 * len(text)
+    length, peak = writer_peaks[write]
+    assert peak < 2.5 * length
 
 
 def _check_isolated_vertices(g, tree, n):
@@ -188,13 +206,15 @@ def _check_isolated_vertices(g, tree, n):
 
 
 def test_the_edge_list_reader_peaks_close_to_what_the_graph_keeps(drawn_tree):
-    # the split lines and the parsed tuples, alive together, made the peak 1.49
-    # times what the graph keeps, and the graph kept an int per number read
+    # the graph keeps 17.6 MiB and the read peaks at 25.8 MiB; with frozensets it
+    # kept 49.0 MiB and peaked at 52.1, and before that the split lines and the
+    # parsed tuples, alive together, made the peak 1.49 times what the graph kept,
+    # and the graph kept an int per number read
     tree = drawn_tree[0]
     text = to_edge_list_text(tree).replace("200000 ", "201000 ", 1)
-    g, kept, peak = _traced(lambda: parse_edge_list_text(text))
+    g, _, peak = _traced(lambda: parse_edge_list_text(text))
     _check_isolated_vertices(g, tree, 201_000)
-    assert peak < 1.15 * kept
+    assert peak < 29 * 2**20
 
 
 def test_the_json_reader_keeps_one_int_object_per_vertex_with_an_edge(drawn_tree):
@@ -206,6 +226,19 @@ def test_the_json_reader_keeps_one_int_object_per_vertex_with_an_edge(drawn_tree
 def test_the_vertex_limit_holds_for_files_only():
     assert parse_graph_text(f"{MAX_FILE_VERTICES} 0\n").n == MAX_FILE_VERTICES
     assert from_edge_list(_TOO_MANY, [(0, 1)]).n == _TOO_MANY
+
+
+def test_membership_at_both_ends_of_a_long_neighbour_tuple():
+    # the centre's tuple holds 200,000 leaves: each test bisects it
+    n = 200_001
+    g = star_graph(n - 1)
+    for leaf in (1, 2, n - 2, n - 1):
+        assert g.has_edge(0, leaf) and g.has_edge(leaf, 0)
+        assert is_degree_monotone(g, [leaf, 0]) and is_degree_monotone(g, [0, leaf])
+    for u, v in [(0, 0), (0, -1), (0, n), (1, 2), (1, n - 1), (n - 1, n - 2), (n, 0), (-1, 0)]:
+        assert not g.has_edge(u, v)
+    assert not is_degree_monotone(g, [1, 2]) and not is_degree_monotone(g, [n - 2, n - 1])
+    assert not is_degree_monotone(g, [1, 0, n - 1])  # degrees 1, n - 1, 1
 
 
 def test_degree_out_of_range():
@@ -275,15 +308,24 @@ def test_writers_match_the_whole_list_forms(g):
     assert to_json_text(g) == _json_reference(g)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: from_edge_list(0, []),
-    lambda: from_edge_list(5, []),
-    lambda: from_edge_list(3000, [(0, 1), (2500, 2999)]),  # the middle block of vertices is empty
-    lambda: from_edge_list(3000, [(1500, 2999)]),  # the first block is empty
-    lambda: RandomTree(20_000).draw(random.Random(1)),
-], ids=["n0", "isolated", "middle-block-empty", "first-block-empty", "tree-20k"])
-def test_writers_match_the_whole_list_forms_across_blocks(build):
-    g = build()
+_ACROSS_BLOCKS = {
+    "n0": lambda: from_edge_list(0, []),
+    "isolated": lambda: from_edge_list(5, []),
+    "middle-block-empty": lambda: from_edge_list(3000, [(0, 1), (2500, 2999)]),
+    "first-block-empty": lambda: from_edge_list(3000, [(1500, 2999)]),
+    "tree-20k": lambda: RandomTree(20_000).draw(random.Random(1)),
+}
+
+
+@pytest.fixture(params=list(_ACROSS_BLOCKS))
+def graph_across_blocks(request):
+    """A graph whose vertices span zero, one or many of the writers' blocks, built
+    when its test runs."""
+    return _ACROSS_BLOCKS[request.param]()
+
+
+def test_writers_match_the_whole_list_forms_across_blocks(graph_across_blocks):
+    g = graph_across_blocks
     assert to_edge_list_text(g) == _edge_list_reference(g)
     assert to_json_text(g) == _json_reference(g)
 

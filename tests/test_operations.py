@@ -1,12 +1,19 @@
+import json
+from operator import lt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmp.graph import degree_sequence, from_edge_list, is_triangle_free
+from dmp.graph import (Graph, degree_sequence, from_edge_list, is_triangle_free,
+                       parse_edge_list_text, parse_json_text)
 from dmp.constructions import (
+    apply_designated,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    generate,
+    list_families,
     path_graph,
     star_graph,
 )
@@ -23,7 +30,7 @@ from dmp.operations import (
     subdivide_edge,
 )
 from dmp.solver import mp_exact
-from dmp.bounds import RandomBipartite, random_graph
+from dmp.bounds import Gnp, RandomBipartite, RandomTree, random_graph
 
 from strategies import graphs
 
@@ -288,10 +295,12 @@ def _by_edge_list(g, name, target):
 
 
 def _is_simple_adjacency(g) -> bool:
+    """adj holds n strictly increasing int tuples, symmetric and without loops."""
     adj = g.adj
     return (type(adj) is tuple and len(adj) == g.n
-            and all(type(a) is frozenset for a in adj)
-            and all(0 <= w < g.n and w != v and v in adj[w] for v, a in enumerate(adj) for w in a))
+            and all(type(a) is tuple and all(map(lt, a, a[1:])) for a in adj)
+            and all(type(w) is int and 0 <= w < g.n and w != v and v in adj[w]
+                    for v, a in enumerate(adj) for w in a))
 
 
 @given(graphs(min_n=1, max_n=7), graphs(min_n=1, max_n=4), st.data())
@@ -311,6 +320,39 @@ def test_operations_match_the_edge_list_construction(g, h, data):
         graph, id_map = result if isinstance(result, tuple) else (result, None)
         assert (graph, id_map) == _by_edge_list(g, name, target), (name, target)
         assert _is_simple_adjacency(graph), (name, target)
+
+
+@given(graphs(min_n=1, max_n=7), graphs(min_n=1, max_n=4), st.data())
+@settings(max_examples=40)
+def test_every_builder_gives_sorted_symmetric_loopless_adjacency(g, h, data):
+    edges = [(v, u) if data.draw(st.booleans()) else (u, v)
+             for u, v in data.draw(st.permutations(g.edges()))]
+    built = [
+        from_edge_list(g.n, edges + edges[::2]),  # the repeats collapse
+        parse_edge_list_text(f"{g.n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)),
+        parse_json_text(json.dumps({"n": g.n, "edges": edges})),
+    ]
+    seed = data.draw(st.integers(0, 2**16))
+    built += [random_graph(model, seed) for model in (Gnp(g.n, 0.4), RandomTree(g.n),
+                                                       RandomBipartite(g.n, h.n, 0.5))]
+    present = g.edges()
+    absent = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    neighbors = tuple(data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True)))
+    targets = {"add-edge": absent, "delete-edge": present, "subdivide": present,
+               "contract": present, "delete-vertex": list(range(g.n)) if g.n > 1 else [],
+               "add-vertex": [neighbors], "cartesian-product": [h], "join": [h]}
+    assert set(targets) == set(operations.OP_KINDS)
+    for op, choices in targets.items():
+        if choices:
+            built.append(operations.apply(op, g, data.draw(st.sampled_from(choices))))
+    extra = data.draw(st.integers(0, 2))
+    for info in list_families():
+        inst = generate(info.name, {name: low + extra for name, low in info.params})
+        built += [inst.graph, apply_designated(inst)]
+        if isinstance(inst.target, Graph):
+            built.append(inst.target)
+    for graph in built:
+        assert _is_simple_adjacency(graph), graph
 
 
 # one wrong-shaped target per target kind, and the message apply gives for it
