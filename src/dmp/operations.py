@@ -6,16 +6,18 @@ built directly from the parent's: a vertex whose neighbours do not change
 keeps the parent's tuple, which is safe to share because graphs are
 immutable.  Every neighbour tuple stays strictly increasing without a sort
 where the order is known: a new vertex takes the largest id, re-indexing is
-monotone, and a join shifts the second graph above the first.  Operations
-that remove or merge vertices re-index densely and also return an
-old-to-new id map.  Product vertices are indexed
-(a, b) -> a * h.n + b.  ``apply`` dispatches by operation name, the one
-dispatch every caller goes through; its table also says what kind of target
-each operation takes: an edge (u, v), a vertex, the neighbors of a new
-vertex as a tuple, or a partner graph.  Each kind has one row: its name in
-messages, its shape rule and its report text.  ``check_shape`` raises
-ValueError for an unknown operation or a target of another shape; ``apply``
-and the theorem checks in ``bounds`` call it before anything else.
+monotone, and a join shifts the second graph above the first.  A product
+takes every entry, and a join every entry of its shifted side, from one tuple
+of vertex ids, so a new vertex has one int object, not one per entry.
+Operations that remove or merge vertices re-index densely and also return an
+old-to-new id map.  Product vertices are indexed (a, b) -> a * h.n + b.
+``apply`` dispatches by operation name, the one dispatch every caller goes
+through; its table also says what kind of target each operation takes: an
+edge (u, v), a vertex, the neighbors of a new vertex as a tuple, or a partner
+graph.  Each kind has one row: its name in messages, its shape rule and its
+report text.  ``check_shape`` raises ValueError for an unknown operation or a
+target of another shape; ``apply`` and the theorem checks in ``bounds`` call
+it before anything else.
 """
 
 from __future__ import annotations
@@ -147,6 +149,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     if g.n < 1 or h.n < 1:
         raise ValueError("product operands must be non-empty")
     hn = h.n
+    ids = tuple(range(g.n * hn))  # one int object per product vertex, shared by its entries
     adj = []
     for a, ga in enumerate(g.adj):
         # (a, b)'s neighbours in order: (c, b) for c ~ a below a, (a, d) for d ~ b,
@@ -154,9 +157,9 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
         row, i = a * hn, bisect_left(ga, a)
         below, above = [c * hn for c in ga[:i]], [c * hn for c in ga[i:]]
         for b, hb in enumerate(h.adj):
-            adj.append(tuple([x + b for x in below] + [row + d for d in hb]
-                             + [x + b for x in above]))
-    return Graph(g.n * hn, tuple(adj))
+            adj.append(tuple([ids[x + b] for x in below] + [ids[row + d] for d in hb]
+                             + [ids[x + b] for x in above]))
+    return Graph(len(ids), tuple(adj))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -169,7 +172,7 @@ def join(g: Graph, h: Graph) -> Graph:
     off = g.n
     g_ids, h_ids = tuple(range(off)), tuple(range(off, off + h.n))
     adj = [a + h_ids for a in g.adj]
-    adj.extend(g_ids + tuple([w + off for w in b]) for b in h.adj)
+    adj.extend(g_ids + tuple([h_ids[w] for w in b]) for b in h.adj)
     return Graph(off + h.n, tuple(adj))
 
 

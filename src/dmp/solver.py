@@ -18,9 +18,12 @@ subgraph on the vertices of degree d, and consecutive segments are joined by
 an edge whose degree strictly increases.  ``mp_exact`` therefore takes the
 components in ascending degree (ties by smallest vertex id) and closes each
 once: a single vertex inline, as it needs no search, and a larger component C
-by one call of ``_search_component``.  ``feed[v]`` is the vertex count of the
-longest path ending at a lower-degree neighbour of v; it is final before v's
-component is reached, and a path entering C at a has ``feed[a] + 1`` vertices.
+by one call of ``_search_component``.  The walk grows a component from its
+first unseen vertex and splits each member's sorted neighbours into ``same``
+and ``up`` (equal and higher degree) as it joins, once and in id order.
+``feed[v]`` is the vertex count of the longest path ending at a lower-degree
+neighbour of v; it is final before v's component is reached, and a path
+entering C at a has ``feed[a] + 1`` vertices.
 
 ``_search_component`` runs a depth-first search with an explicit stack, so
 path length is not limited by Python's recursion limit.  It runs over
@@ -183,34 +186,36 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
     budget = (limits or _DEFAULT_LIMITS).node_budget
     started = time.perf_counter()
     n = g.n
-    deg = list(map(len, g.adj))
-    same: list[list[int]] = []  # equal-degree neighbours
-    up: list[list[int]] = []  # higher-degree neighbours
-    for a, d in zip(g.adj, deg):
-        level, higher = [], []
-        for w in a:
-            dw = deg[w]
-            if dw == d:
-                level.append(w)
-            elif dw > d:
-                higher.append(w)
-        same.append(level)
-        up.append(higher)
-
+    adj = g.adj
+    deg = list(map(len, adj))
+    same: list[list[int] | None] = [None] * n  # equal-degree neighbours; None: unseen
+    up: list[list[int] | None] = [None] * n  # higher-degree neighbours
     feed = [0] * n
     into: list[tuple | None] = [None] * n  # the segment whose end set feed[v]
     best_len, best = 0, ()  # the best path's last segment
-    placed = [False] * n
     on_path = [False] * n
     nodes = components = 0
     largest = 1
 
     for first in sorted(range(n), key=deg.__getitem__):  # stable: ties by id
-        if placed[first]:
+        if same[first] is not None:
             continue
-        placed[first] = True
         components += 1
-        if not same[first]:  # a single-vertex component needs no search
+        same[first] = []
+        comp = [first]
+        for v in comp:  # split each member's neighbours; an unseen equal one joins
+            level, higher, d = same[v], [], deg[v]
+            for w in adj[v]:
+                dw = deg[w]
+                if dw == d:
+                    level.append(w)
+                    if same[w] is None:
+                        same[w] = []
+                        comp.append(w)
+                elif dw > d:
+                    higher.append(w)
+            up[v] = higher
+        if len(comp) == 1:  # a single-vertex component needs no search
             val, segment = feed[first] + 1, None  # (first,), built once it is stored
             if val > best_len:
                 best_len, best = val, (first,)
@@ -220,13 +225,6 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
                     segment = segment or (first,)
                     feed[h], into[h] = val, segment
             continue
-        comp = [first]
-        for v in comp:
-            same[v].sort()
-            for w in same[v]:
-                if not placed[w]:
-                    placed[w] = True
-                    comp.append(w)
         largest = max(largest, len(comp))
         best_len, best, nodes = _search_component(
             comp, same, up, feed, into, on_path, best_len, best, nodes, budget)

@@ -130,14 +130,15 @@ def test_isolated_vertices_cost_one_pointer_each(build):
 
 
 def test_a_build_peaks_close_to_what_the_graph_keeps():
-    # a random recursive tree on 200,000 vertices keeps 12.2 MiB as int tuples and
-    # the build peaks at 20.3 MiB; as frozensets it kept 46.2 MiB, and holding every
-    # vertex's set beside its frozenset made the build peak at 2.06 times that
+    # a random recursive tree on 50,000 vertices keeps 3.05 MiB as int tuples and
+    # the build peaks at 5.06 MiB; as frozensets it kept 11.5 MiB and peaked at
+    # 12.3, and holding every vertex's set beside its frozenset made the build
+    # peak at 23.8 MiB
     rng = random.Random(0)
-    edges = [(v, rng.randrange(v)) for v in range(1, 200_000)]
-    g, _, peak = _traced(lambda: from_edge_list(200_000, edges))
-    assert g.m == 199_999
-    assert peak < 23 * 2**20
+    edges = [(v, rng.randrange(v)) for v in range(1, 50_000)]
+    g, _, peak = _traced(lambda: from_edge_list(50_000, edges))
+    assert g.m == 49_999
+    assert peak < 5.75 * 2**20
 
 
 _TOO_MANY = MAX_FILE_VERTICES + 1
@@ -158,8 +159,8 @@ def test_a_file_declaring_too_many_vertices_is_rejected_before_any_allocation(te
 
 @pytest.fixture(scope="module")
 def drawn_tree():
-    """A 200,000-vertex random tree drawn under tracemalloc: (graph, kept, peak)."""
-    return _traced(lambda: RandomTree(200_000).draw(random.Random(0)))
+    """A 50,000-vertex random tree drawn under tracemalloc: (graph, kept, peak)."""
+    return _traced(lambda: RandomTree(50_000).draw(random.Random(0)))
 
 
 def _int_objects(g):
@@ -167,14 +168,13 @@ def _int_objects(g):
 
 
 def test_a_draw_peaks_close_to_what_the_tree_keeps(drawn_tree):
-    # the tree keeps 18.3 MiB and the draw peaks at 30.6 MiB; with frozensets it
-    # kept 49.8 MiB and peaked at 52.8, and before that the Pruefer sequence of
+    # the tree keeps 4.04 MiB and the draw peaks at 7.69 MiB; with frozensets it
+    # kept 12.4 MiB and peaked at 13.2, and before that the Pruefer sequence of
     # fresh ints and the list of edge tuples, alive beside the build, made the peak
-    # 1.33 times what the tree kept, and the tree kept 273,483 int objects for its
-    # 200,000 vertices
+    # 17.0 MiB, and the tree kept 68,331 int objects for its 50,000 vertices
     g, _, peak = drawn_tree
-    assert g.m == 199_999 and _int_objects(g) == g.n
-    assert peak < 35 * 2**20
+    assert g.m == 49_999 and _int_objects(g) == g.n
+    assert peak < 8.75 * 2**20
 
 
 @pytest.fixture(scope="module")
@@ -206,21 +206,21 @@ def _check_isolated_vertices(g, tree, n):
 
 
 def test_the_edge_list_reader_peaks_close_to_what_the_graph_keeps(drawn_tree):
-    # the graph keeps 17.6 MiB and the read peaks at 25.8 MiB; with frozensets it
-    # kept 49.0 MiB and peaked at 52.1, and before that the split lines and the
-    # parsed tuples, alive together, made the peak 1.49 times what the graph kept,
-    # and the graph kept an int per number read
+    # the graph keeps 4.39 MiB and the read peaks at 6.86 MiB; with frozensets it
+    # kept 12.3 MiB and peaked at 13.0, and before that the split lines and the
+    # parsed tuples, alive together, made the peak 20.2 MiB, and the graph kept an
+    # int per number read
     tree = drawn_tree[0]
-    text = to_edge_list_text(tree).replace("200000 ", "201000 ", 1)
+    text = to_edge_list_text(tree).replace("50000 ", "51000 ", 1)
     g, _, peak = _traced(lambda: parse_edge_list_text(text))
-    _check_isolated_vertices(g, tree, 201_000)
-    assert peak < 29 * 2**20
+    _check_isolated_vertices(g, tree, 51_000)
+    assert peak < 7.75 * 2**20
 
 
 def test_the_json_reader_keeps_one_int_object_per_vertex_with_an_edge(drawn_tree):
     tree = drawn_tree[0]
-    text = to_json_text(tree).replace('"n": 200000', '"n": 201000', 1)
-    _check_isolated_vertices(parse_json_text(text), tree, 201_000)
+    text = to_json_text(tree).replace('"n": 50000', '"n": 51000', 1)
+    _check_isolated_vertices(parse_json_text(text), tree, 51_000)
 
 
 def test_the_vertex_limit_holds_for_files_only():

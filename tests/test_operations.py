@@ -1,4 +1,5 @@
 import json
+from itertools import chain
 from operator import lt
 
 import pytest
@@ -200,6 +201,21 @@ def test_product_k3_p3_value():
 
 def test_product_index_round_trip():
     assert product_index(2, 1, 3) == 7
+
+
+def _int_objects(entries):
+    return len(set(map(id, entries)))
+
+
+def test_a_product_and_a_join_keep_one_int_object_per_new_vertex():
+    # an id above 256 is a fresh int object each time it is computed: summing per
+    # entry made the 200 x 100 random-tree product keep 78,542 of them, not 20,000;
+    # a join keeps the first graph's entries and shares one object per shifted vertex
+    p = cartesian_product(random_graph(RandomTree(30), 1), random_graph(RandomTree(20), 2))
+    assert p.n == 600 and _int_objects(chain.from_iterable(p.adj)) == p.n
+    g, h = path_graph(300), path_graph(200)
+    j = join(g, h)
+    assert _int_objects(w for a in j.adj for w in a if w >= g.n) == h.n
 
 
 @given(graphs(min_n=1, max_n=4), graphs(min_n=1, max_n=4))
