@@ -10,10 +10,12 @@ proven.
 
 A campaign draws graphs from a random model, one row of ``MODELS`` per
 model, and checks in each graph the targets its theorem row's ``targets``
-field lists.  Records and summaries are NamedTuple rows whose fields are the
-report columns, except that the field ``passed`` is the column ``pass``, a
-Python keyword.  Every record of a trial shares the trial's two ends, so the
-summary takes each trial's least slacks once, from its extreme mp_after.
+field lists; ``RandomTree`` decodes a Pruefer sequence in linear time
+straight into the adjacency, with no list per vertex.  Records and summaries
+are NamedTuple rows whose fields are the report columns, except that the
+field ``passed`` is the column ``pass``, a Python keyword.  Every record of a
+trial shares the trial's two ends, so the summary takes each trial's least
+slacks once, from its extreme mp_after.
 ``check_bound`` and ``select_theorem`` check a target's shape before any hypothesis.
 """
 
@@ -21,11 +23,11 @@ from __future__ import annotations
 
 import os
 import random
-from collections.abc import Callable, Iterator
+from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from heapq import heapify, heappop, heappush
 from math import ceil, floor
 from typing import ClassVar, NamedTuple
 
@@ -306,32 +308,53 @@ class RandomTree(Model):
         super().__init__(n)
 
     def draw(self, rng: random.Random) -> Graph:
+        """A uniform labeled tree, decoded from a random Pruefer sequence in linear
+        time and built straight into the adjacency.
+
+        rng.choice over the list of vertices takes from the random stream what
+        rng.randrange(n) takes and returns the vertex's shared int object, so the
+        graph keeps one int object per vertex.  The decoding removes the smallest leaf at each
+        step: a pointer that only moves forward over the degrees finds it, unless
+        the leaf's parent has just become a leaf below the pointer.  The largest
+        vertex is never removed, so it is the root and every other vertex gets a
+        parent, written over its degree once it is removed.  A stable sort by
+        parent lines up each vertex's children in id order, and each vertex's
+        neighbour tuple is its slice of that order with its parent put in.
+        """
         n = self.n
         if n < 1:
             raise ValueError(f"bad tree size {n}")
-        if n == 1:
-            return from_edge_list(1, [])
-        return from_edge_list(n, _pruefer_edges(n, rng))
-
-
-def _pruefer_edges(n: int, rng: random.Random) -> Iterator[tuple[int, int]]:
-    """The edges of a uniform labeled tree on n >= 2 vertices, decoded one at a time
-    from a random Pruefer sequence.  rng.choice(vertices) takes from the random
-    stream what rng.randrange(n) takes and returns the vertex's shared int object,
-    so the sequence holds no int of its own."""
-    vertices = list(range(n))
-    seq = [rng.choice(vertices) for _ in range(n - 2)]
-    deg = [1] * n
-    for x in seq:
-        deg[x] += 1
-    leaves = [v for v in vertices if deg[v] == 1]
-    heapify(leaves)
-    for x in seq:
-        yield heappop(leaves), x
-        deg[x] -= 1
-        if deg[x] == 1:
-            heappush(leaves, x)
-    yield heappop(leaves), heappop(leaves)
+        order = list(range(n))
+        seq = [rng.choice(order) for _ in range(n - 2)]
+        root = order.pop()
+        up = [1] * n  # degrees, each one more than the vertex's count in seq
+        for x in seq:
+            up[x] += 1
+        deg = up[:-1]  # a non-root vertex has one child fewer than its degree
+        ptr = leaf = up.index(1)
+        for x in seq:
+            up[leaf] = x
+            d = up[x] = up[x] - 1
+            if d == 1 and x < ptr:
+                leaf = x
+            else:
+                ptr = leaf = up.index(1, ptr + 1)
+        del seq
+        up[leaf] = root  # the last leaf's parent; for n = 1, the root's own slot
+        order.sort(key=up.__getitem__)
+        order = tuple(order)
+        adj = []
+        j = 0
+        for p, d in zip(up, deg):
+            i = j
+            j += d - 1
+            if i == j:
+                adj.append((p,))
+            else:
+                k = bisect_left(order, p, i, j)
+                adj.append(order[i:k] + (p,) + order[k:j])
+        adj.append(order[j:])
+        return Graph(n, tuple(adj))
 
 
 class RandomBipartite(Model):

@@ -4,10 +4,11 @@ Vertices are 0..n-1 and adjacency is a tuple of int tuples, one per vertex,
 each strictly increasing; isolated vertices share the empty tuple.  That form
 is canonical, so two graphs are equal exactly when their edges are, and it
 keeps a vertex's neighbours in about a quarter of a frozenset's memory;
-``has_edge`` bisects it.  Every builder here and in ``operations`` keeps the
-invariant, and ``Graph.__init__`` trusts it without a check.  ``Graph``, like
-every slot class of the package, is an immutable value through one base,
-``_Frozen``, so graphs hash, pickle and can be shared freely between workers.
+``has_edge`` bisects it.  Every builder here and in ``operations``, and
+``bounds.RandomTree.draw``, keeps the invariant, and ``Graph.__init__`` trusts
+it without a check.  ``Graph``, like every slot class of the package, is an
+immutable value through one base, ``_Frozen``, so graphs hash, pickle and can
+be shared freely between workers.
 Two text formats are supported:
 
 * edge-list text: first line ``n m``, then m lines ``u v``.  The writers put

@@ -7,8 +7,8 @@ keeps the parent's tuple, which is safe to share because graphs are
 immutable.  Every neighbour tuple stays strictly increasing without a sort
 where the order is known: a new vertex takes the largest id, re-indexing is
 monotone, and a join shifts the second graph above the first.  A product
-takes every entry, and a join every entry of its shifted side, from one tuple
-of vertex ids, so a new vertex has one int object, not one per entry.
+and a join take every entry from one tuple of vertex ids, so each vertex of
+the result has one int object, not one per entry.
 Operations that remove or merge vertices re-index densely and also return an
 old-to-new id map.  Product vertices are indexed (a, b) -> a * h.n + b.
 ``apply`` dispatches by operation name, the one dispatch every caller goes
@@ -171,7 +171,7 @@ def join(g: Graph, h: Graph) -> Graph:
         raise ValueError("join operands must be non-empty")
     off = g.n
     g_ids, h_ids = tuple(range(off)), tuple(range(off, off + h.n))
-    adj = [a + h_ids for a in g.adj]
+    adj = [tuple([g_ids[w] for w in a]) + h_ids for a in g.adj]
     adj.extend(g_ids + tuple([h_ids[w] for w in b]) for b in h.adj)
     return Graph(off + h.n, tuple(adj))
 

@@ -1,5 +1,7 @@
 import hashlib
+import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 import pytest
 
@@ -155,6 +157,45 @@ def test_random_bipartite_triangle_free(seed):
 def test_random_graph_deterministic():
     assert random_graph(Gnp(8, 0.5), 33) == random_graph(Gnp(8, 0.5), 33)
     assert random_graph(RandomTree(8), 33) == random_graph(RandomTree(8), 33)
+
+
+def _heap_decoded_tree(n, rng):
+    """A reference for RandomTree(n).draw(rng): the same Pruefer sequence, decoded
+    through a heap of the current leaves, the smallest popped at each step, into
+    edges that from_edge_list builds."""
+    vertices = list(range(n))
+    seq = [rng.choice(vertices) for _ in range(n - 2)]
+    deg = [1] * n
+    for x in seq:
+        deg[x] += 1
+    leaves = [v for v in vertices if deg[v] == 1]
+    heapify(leaves)
+    edges = []
+    for x in seq:
+        edges.append((heappop(leaves), x))
+        deg[x] -= 1
+        if deg[x] == 1:
+            heappush(leaves, x)
+    if n > 1:
+        edges.append((heappop(leaves), heappop(leaves)))
+    return from_edge_list(n, edges)
+
+
+def _draws_as_the_heap_decoder(n, seed):
+    """The draw equals the reference and leaves the generator where the reference does."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    return RandomTree(n).draw(rng) == _heap_decoded_tree(n, ref) and rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_a_tree_draw_matches_the_heap_decoder_on_every_small_size(seed):
+    assert [n for n in range(1, 41) if not _draws_as_the_heap_decoder(n, seed)] == []
+
+
+def test_a_tree_draw_matches_the_heap_decoder_at_random_sizes():
+    meta = random.Random(2)
+    cases = [(meta.randrange(1, 2001), meta.getrandbits(64)) for _ in range(300)]
+    assert [case for case in cases if not _draws_as_the_heap_decoder(*case)] == []
 
 
 # sha256 of the edge lists each model draws at DRAW_SEEDS; every seeded

@@ -168,13 +168,15 @@ def _int_objects(g):
 
 
 def test_a_draw_peaks_close_to_what_the_tree_keeps(drawn_tree):
-    # the tree keeps 4.04 MiB and the draw peaks at 7.69 MiB; with frozensets it
+    # the tree keeps 4.04 MiB and the draw, straight into the adjacency, peaks at
+    # 5.61 MiB; streaming the heap-decoded edges into from_edge_list, whose list
+    # per vertex was alive at the end, made the peak 7.69 MiB; with frozensets it
     # kept 12.4 MiB and peaked at 13.2, and before that the Pruefer sequence of
     # fresh ints and the list of edge tuples, alive beside the build, made the peak
     # 17.0 MiB, and the tree kept 68,331 int objects for its 50,000 vertices
     g, _, peak = drawn_tree
     assert g.m == 49_999 and _int_objects(g) == g.n
-    assert peak < 8.75 * 2**20
+    assert peak < 6.5 * 2**20
 
 
 @pytest.fixture(scope="module")

@@ -38,11 +38,11 @@ def _fresh(code: str, *args: str, cwd) -> list[str]:
     (["construct", "--family", "path", "--n=6"],
      {"graph", "solver", "operations", "constructions"}, {"fractions", "dataclasses", "inspect"}),
     (["op", "g.txt", "--op", "subdivide", "--u", "0", "--v", "1"],
-     {"graph", "solver", "operations", "bounds"}, set()),
+     {"graph", "solver", "operations", "bounds"}, {"heapq"}),
     (["construct", "--family", "path", "--n=6", "--out", "g.json"],
      {"graph", "solver", "operations", "constructions"}, {"json"}),
     (["op", "g.txt", "--op", "subdivide", "--u", "0", "--v", "1", "--out", "h.json"],
-     {"graph", "solver", "operations", "bounds"}, {"json"}),
+     {"graph", "solver", "operations", "bounds"}, {"json", "heapq"}),
 ], ids=["mp", "construct", "op", "construct-json-out", "op-json-out"])
 def test_a_command_imports_only_the_modules_it_runs(tmp_path, argv, dmp_modules, absent):
     (tmp_path / "g.txt").write_text(to_edge_list_text(path_graph(6)))

@@ -209,13 +209,18 @@ def _int_objects(entries):
 
 def test_a_product_and_a_join_keep_one_int_object_per_new_vertex():
     # an id above 256 is a fresh int object each time it is computed: summing per
-    # entry made the 200 x 100 random-tree product keep 78,542 of them, not 20,000;
-    # a join keeps the first graph's entries and shares one object per shifted vertex
+    # entry made the 200 x 100 random-tree product keep 78,542 of them, not 20,000
     p = cartesian_product(random_graph(RandomTree(30), 1), random_graph(RandomTree(20), 2))
     assert p.n == 600 and _int_objects(chain.from_iterable(p.adj)) == p.n
-    g, h = path_graph(300), path_graph(200)
-    j = join(g, h)
-    assert _int_objects(w for a in j.adj for w in a if w >= g.n) == h.n
+    j = join(path_graph(300), path_graph(200))
+    assert _int_objects(chain.from_iterable(j.adj)) == j.n
+
+
+def test_a_large_join_keeps_one_int_object_per_vertex():
+    # keeping the first graph's own objects in its entries, beside the fresh ones
+    # its ids took in the shifted side's entries, made this join keep 39,843
+    j = join(random_graph(RandomTree(20_000), 1), random_graph(RandomTree(100), 2))
+    assert j.n == 20_100 and _int_objects(chain.from_iterable(j.adj)) == j.n
 
 
 @given(graphs(min_n=1, max_n=4), graphs(min_n=1, max_n=4))
