@@ -265,7 +265,6 @@ def _oracle_graphs(max_n: int, trials: int, seed: int) -> Iterator[gr.Graph]:
 
     yield from map(constructions.path_graph, range(1, max_n + 1))
     yield from map(constructions.cycle_graph, range(3, max_n + 1))
-    yield from map(constructions.star_graph, range(1, max_n))
     yield from map(constructions.complete_graph, range(1, max_n + 1))
     for a in range(1, max_n):
         yield from (constructions.complete_bipartite_graph(a, b)

@@ -69,7 +69,7 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
 
 def star_graph(m: int) -> Graph:
     """Star with center 0 and m leaves."""
-    return from_edge_list(m + 1, [(0, i) for i in range(1, m + 1)])
+    return complete_bipartite_graph(1, m)
 
 
 # caterpillar helpers

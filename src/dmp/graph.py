@@ -98,8 +98,8 @@ class Graph(_Frozen):
         return sum(map(len, self.adj)) // 2
 
     def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        if not (type(v) is int and 0 <= v < self.n):
+            raise ValueError(f"vertex {v!r} out of range for n={self.n}")
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:

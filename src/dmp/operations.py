@@ -9,6 +9,9 @@ where the order is known: a new vertex takes the largest id, re-indexing is
 monotone, and a join shifts the second graph above the first.  A product
 and a join take every entry from one tuple of vertex ids, so each vertex of
 the result has one int object, not one per entry.
+Subdividing and contracting are built from the basic operations: subdividing
+uv deletes uv and adds a vertex joined to u and v; contracting uv joins the
+smaller endpoint to the larger's other neighbours and deletes the larger.
 Operations that remove or merge vertices re-index densely and also return an
 old-to-new id map.  Product vertices are indexed (a, b) -> a * h.n + b.
 ``apply`` dispatches by operation name, the one dispatch every caller goes
@@ -52,8 +55,8 @@ def _reindexed(a: tuple[int, ...], gone: int, id_map: dict[int, int]) -> tuple[i
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:
     """Add the edge uv between two distinct non-adjacent vertices."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError(f"endpoint out of range: ({u}, {v}) with n={g.n}")
+    if not (type(u) is int and type(v) is int and 0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError(f"endpoint out of range: ({u!r}, {v!r}) with n={g.n}")
     if u == v:
         raise ValueError(f"cannot add a loop at vertex {u}")
     if g.has_edge(u, v):
@@ -66,8 +69,8 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
     """Remove the existing edge uv."""
-    if not g.has_edge(u, v):
-        raise ValueError(f"edge ({u}, {v}) not present")
+    if not (type(u) is int and type(v) is int and g.has_edge(u, v)):
+        raise ValueError(f"edge ({u!r}, {v!r}) not present")
     adj = list(g.adj)
     adj[u] = _remove(adj[u], v)
     adj[v] = _remove(adj[v], u)
@@ -75,37 +78,26 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
 
 
 def subdivide_edge(g: Graph, u: int, v: int) -> Graph:
-    """Replace edge uv by a new degree-2 vertex w with edges uw and wv."""
-    if not g.has_edge(u, v):
-        raise ValueError(f"edge ({u}, {v}) not present")
-    w = g.n
-    adj = list(g.adj)
-    adj[u] = _remove(adj[u], v) + (w,)
-    adj[v] = _remove(adj[v], u) + (w,)
-    adj.append((u, v) if u < v else (v, u))
-    return Graph(g.n + 1, tuple(adj))
+    """Replace edge uv by a new degree-2 vertex w with edges uw and wv: delete uv,
+    then add a vertex joined to u and v."""
+    return add_vertex(delete_edge(g, u, v), (u, v))
 
 
 def contract_edge(g: Graph, u: int, v: int) -> tuple[Graph, dict[int, int]]:
-    """Merge the endpoints of edge uv into one vertex, without multi-edges.
-
-    The merged vertex sits at the smaller of the two old indices; the result
-    is densely re-indexed and the returned map sends every old id (including
-    both endpoints) to its new id.
-    """
-    if not g.has_edge(u, v):
-        raise ValueError(f"edge ({u}, {v}) not present")
+    """Merge the endpoints of edge uv at the smaller id, without multi-edges: join
+    it to the larger's other neighbours, then delete the larger.  The returned
+    map sends every old id, both endpoints included, to its densely re-indexed id."""
+    if not (type(u) is int and type(v) is int and g.has_edge(u, v)):
+        raise ValueError(f"edge ({u!r}, {v!r}) not present")
     keep, drop = min(u, v), max(u, v)
-    id_map = {old: (old if old < drop else old - 1) for old in range(g.n) if old != drop}
-    id_map[drop] = id_map[keep]
     adj = list(g.adj)
-    adj[keep] = tuple(sorted(set(adj[keep]).union(adj[drop]).difference((keep, drop))))
-    for w in g.adj[drop]:  # a neighbour of both endpoints sees them collapse to one id
-        if w != keep:
-            a = _remove(adj[w], drop)
-            adj[w] = a if g.has_edge(w, keep) else _insert(a, keep)
-    del adj[drop]
-    return Graph(g.n - 1, tuple([_reindexed(a, drop, id_map) for a in adj])), id_map
+    adj[keep] = tuple(sorted(set(adj[keep]).union(adj[drop]).difference((keep,))))
+    for w in g.adj[drop]:  # a neighbour of both endpoints keeps its edge to keep
+        if w != keep and not g.has_edge(w, keep):
+            adj[w] = _insert(adj[w], keep)
+    h, id_map = delete_vertex(Graph(g.n, tuple(adj)), drop)
+    id_map[drop] = id_map[keep]
+    return h, id_map
 
 
 def add_vertex(g: Graph, neighbors: list[int] | tuple[int, ...]) -> Graph:
@@ -115,8 +107,8 @@ def add_vertex(g: Graph, neighbors: list[int] | tuple[int, ...]) -> Graph:
     if len(set(neighbors)) != len(neighbors):
         raise ValueError(f"duplicate neighbors: {neighbors}")
     for w in neighbors:
-        if not 0 <= w < g.n:
-            raise ValueError(f"neighbor {w} out of range for n={g.n}")
+        if not (type(w) is int and 0 <= w < g.n):
+            raise ValueError(f"neighbor {w!r} out of range for n={g.n}")
     new = g.n
     adj = list(g.adj)
     for w in neighbors:
@@ -127,8 +119,8 @@ def add_vertex(g: Graph, neighbors: list[int] | tuple[int, ...]) -> Graph:
 
 def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
     """Remove vertex v and its incident edges; densely re-index the rest."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
+    if not (type(v) is int and 0 <= v < g.n):
+        raise ValueError(f"vertex {v!r} out of range for n={g.n}")
     if g.n < 2:
         raise ValueError("deleting the last vertex would leave an empty graph")
     id_map = {old: (old if old < v else old - 1) for old in range(g.n) if old != v}

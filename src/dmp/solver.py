@@ -107,8 +107,8 @@ def is_degree_monotone(g: Graph, vertices: list[int] | tuple[int, ...]) -> bool:
     if len(set(vertices)) != len(vertices):
         raise ValueError("duplicate vertices in path")
     for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
+        if not (type(v) is int and 0 <= v < g.n):
+            raise ValueError(f"vertex {v!r} out of range for n={g.n}")
     for a, b in zip(vertices, vertices[1:]):
         if not g.has_edge(a, b):
             return False

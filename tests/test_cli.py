@@ -516,7 +516,7 @@ def test_oracle_check_ok(capsys):
 def test_oracle_check_exits_2_on_a_mismatch(monkeypatch, capsys):
     monkeypatch.setattr("dmp.cli.mp_oracle", lambda g: 0)  # no graph has mp 0
     assert main(["oracle-check", "--max-n", "3", "--trials", "2", "--seed", "7"]) == 2
-    assert capsys.readouterr().out == "mismatches=13 graphs=13\n"
+    assert capsys.readouterr().out == "mismatches=11 graphs=11\n"
 
 
 def test_oracle_graphs_are_built_one_at_a_time():
@@ -537,7 +537,7 @@ def test_oracle_check_rejects_max_n_outside_range(max_n, capsys):
 
 def test_oracle_check_full_range_graph_count(capsys):
     assert main(["oracle-check", "--max-n", "12", "--trials", "500", "--seed", "7"]) == 0
-    assert capsys.readouterr().out == "mismatches=0 graphs=581\n"
+    assert capsys.readouterr().out == "mismatches=0 graphs=570\n"
 
 
 def test_oracle_check_rejects_negative_trials(capsys):
@@ -549,7 +549,7 @@ def test_oracle_check_rejects_negative_trials(capsys):
 
 def test_oracle_check_zero_trials_checks_only_the_catalog(capsys):
     assert main(["oracle-check", "--max-n", "12", "--trials", "0"]) == 0
-    assert capsys.readouterr().out == "mismatches=0 graphs=81\n"
+    assert capsys.readouterr().out == "mismatches=0 graphs=70\n"
 
 
 @pytest.mark.parametrize("sample", ["0", "-1"])

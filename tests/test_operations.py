@@ -30,7 +30,7 @@ from dmp.operations import (
     product_index,
     subdivide_edge,
 )
-from dmp.solver import mp_exact
+from dmp.solver import is_degree_monotone, mp_exact
 from dmp.bounds import Gnp, RandomBipartite, RandomTree, random_graph
 
 from strategies import graphs
@@ -71,6 +71,26 @@ def test_delete_last_edge():
 def test_edge_operations_reject_bad_edges(op, edge, message):
     with pytest.raises(ValueError, match=message):
         op(path_graph(3), *edge)
+
+
+# bools are ints to Python, so an unchecked True would be stored as vertex 1
+@pytest.mark.parametrize("call, args, fragment", [
+    (add_edge, (from_edge_list(3, [(1, 2)]), True, 0), "endpoint out of range: (True, 0)"),
+    (delete_edge, (from_edge_list(3, [(1, 2)]), True, 2), "edge (True, 2) not present"),
+    (subdivide_edge, (from_edge_list(3, [(0, 2)]), 2, False), "edge (2, False) not present"),
+    (contract_edge, (from_edge_list(4, [(0, 2), (1, 2), (2, 3)]), True, 2),
+     "edge (True, 2) not present"),
+    (add_vertex, (from_edge_list(2, [(0, 1)]), [False]), "neighbor False out of range"),
+    (delete_vertex, (path_graph(3), True), "vertex True out of range"),
+    (delete_vertex, (path_graph(3), 1.0), "vertex 1.0 out of range"),
+    (Graph.degree, (path_graph(3), True), "vertex True out of range"),
+    (is_degree_monotone, (path_graph(3), [True, 2]), "vertex True out of range"),
+], ids=["add_edge", "delete_edge", "subdivide_edge", "contract_edge", "add_vertex",
+        "delete_vertex", "delete_vertex_float", "degree", "is_degree_monotone"])
+def test_operations_reject_a_non_int_vertex_id(call, args, fragment):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert fragment in str(info.value)
 
 
 def test_delete_edge_rejects_absent():
