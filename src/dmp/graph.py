@@ -103,7 +103,8 @@ class Graph(_Frozen):
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not 0 <= u < self.n:
+        """Whether uv is an edge; False when an id is out of range or not an int (a bool)."""
+        if not (type(u) is int and type(v) is int and 0 <= u < self.n):
             return False
         a = self.adj[u]
         i = bisect_left(a, v)
@@ -207,10 +208,11 @@ def is_tree(g: Graph) -> bool:
 
 
 # the largest vertex count a graph file may declare: the declared n, not the file's
-# size, sets what parse and solve allocate, about 224 bytes per vertex (parsing and
-# solving an edgeless 200,000-vertex graph peak at 42.8 MiB under tracemalloc on
-# 64-bit CPython 3.11; isolated vertices share one empty tuple, so nearly all of it
-# is the solver's lists per vertex), so a header alone costs at most about 214 MiB
+# size, sets what parse and solve allocate, about 208 bytes per vertex (parsing and
+# solving an edgeless 200,000-vertex graph peak at 41.6 MB, 39.7 MiB, under
+# tracemalloc on 64-bit CPython 3.11; isolated vertices share one empty tuple, so
+# nearly all of it is the solver's lists per vertex), so a header alone costs at
+# most about 208 MB
 MAX_FILE_VERTICES = 1_000_000
 
 

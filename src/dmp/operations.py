@@ -69,7 +69,7 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
     """Remove the existing edge uv."""
-    if not (type(u) is int and type(v) is int and g.has_edge(u, v)):
+    if not g.has_edge(u, v):
         raise ValueError(f"edge ({u!r}, {v!r}) not present")
     adj = list(g.adj)
     adj[u] = _remove(adj[u], v)
@@ -87,7 +87,7 @@ def contract_edge(g: Graph, u: int, v: int) -> tuple[Graph, dict[int, int]]:
     """Merge the endpoints of edge uv at the smaller id, without multi-edges: join
     it to the larger's other neighbours, then delete the larger.  The returned
     map sends every old id, both endpoints included, to its densely re-indexed id."""
-    if not (type(u) is int and type(v) is int and g.has_edge(u, v)):
+    if not g.has_edge(u, v):
         raise ValueError(f"edge ({u!r}, {v!r}) not present")
     keep, drop = min(u, v), max(u, v)
     adj = list(g.adj)

@@ -15,15 +15,15 @@ non-increasing path yields a non-decreasing one, so the two maxima agree.
 A non-decreasing path is a chain of maximal equal-degree segments.  Each
 segment is a simple path inside one connected component of ``G[V_d]``, the
 subgraph on the vertices of degree d, and consecutive segments are joined by
-an edge whose degree strictly increases.  ``mp_exact`` therefore takes the
-components in ascending degree (ties by smallest vertex id) and closes each
-once: a single vertex inline, as it needs no search, and a larger component C
-by one call of ``_search_component``.  The walk grows a component from its
-first unseen vertex and splits each member's sorted neighbours into ``same``
-and ``up`` (equal and higher degree) as it joins, once and in id order.
-``feed[v]`` is the vertex count of the longest path ending at a lower-degree
-neighbour of v; it is final before v's component is reached, and a path
-entering C at a has ``feed[a] + 1`` vertices.
+an edge whose degree strictly increases.  So ``mp_exact`` takes two steps.
+The generator ``_components`` walks the components one at a time in ascending
+degree (ties by smallest id), splitting each member's sorted neighbours into
+``same`` and ``up`` (equal and higher degree) as it joins.  ``mp_exact`` closes
+each once by one route: a single vertex inline, as it needs no search, with
+its component tuple as its segment; a larger component C by one call of
+``_search_component``.  ``feed[v]`` is the vertex count of the longest path
+ending at a lower-degree neighbour of v; it is final before v's component is
+reached, and a path entering C at a has ``feed[a] + 1`` vertices.
 
 ``_search_component`` runs a depth-first search with an explicit stack, so
 path length is not limited by Python's recursion limit.  It runs over
@@ -172,6 +172,31 @@ def _search_component(comp, same, up, feed, into, on_path, best_len, best, nodes
     return best_len, best, nodes
 
 
+def _components(adj, same, up):
+    """Yield each equal-degree component as a tuple in walk order: ascending degree,
+    ties by smallest id.  Each member's neighbours are split into ``same`` and ``up``
+    (equal and higher degree) as it joins, once and in id order."""
+    deg = list(map(len, adj))
+    for first in sorted(range(len(adj)), key=deg.__getitem__):  # stable: ties by id
+        if same[first] is not None:
+            continue
+        same[first] = []
+        comp = [first]
+        for v in comp:  # an unseen equal-degree neighbour joins the component
+            level, higher, d = same[v], [], deg[v]
+            for w in adj[v]:
+                dw = deg[w]
+                if dw == d:
+                    level.append(w)
+                    if same[w] is None:
+                        same[w] = []
+                        comp.append(w)
+                elif dw > d:
+                    higher.append(w)
+            up[v] = higher
+        yield tuple(comp)
+
+
 def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
     """Exact mp(G) by degree-class decomposition over non-decreasing paths.
 
@@ -186,44 +211,23 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
     budget = (limits or _DEFAULT_LIMITS).node_budget
     started = time.perf_counter()
     n = g.n
-    adj = g.adj
-    deg = list(map(len, adj))
     same: list[list[int] | None] = [None] * n  # equal-degree neighbours; None: unseen
     up: list[list[int] | None] = [None] * n  # higher-degree neighbours
     feed = [0] * n
     into: list[tuple | None] = [None] * n  # the segment whose end set feed[v]
     best_len, best = 0, ()  # the best path's last segment
     on_path = [False] * n
-    nodes = components = 0
+    nodes = 0
     largest = 1
 
-    for first in sorted(range(n), key=deg.__getitem__):  # stable: ties by id
-        if same[first] is not None:
-            continue
-        components += 1
-        same[first] = []
-        comp = [first]
-        for v in comp:  # split each member's neighbours; an unseen equal one joins
-            level, higher, d = same[v], [], deg[v]
-            for w in adj[v]:
-                dw = deg[w]
-                if dw == d:
-                    level.append(w)
-                    if same[w] is None:
-                        same[w] = []
-                        comp.append(w)
-                elif dw > d:
-                    higher.append(w)
-            up[v] = higher
-        if len(comp) == 1:  # a single-vertex component needs no search
-            val, segment = feed[first] + 1, None  # (first,), built once it is stored
+    for components, comp in enumerate(_components(g.adj, same, up), 1):
+        if len(comp) == 1:  # a single vertex needs no search and is its own segment
+            val = feed[comp[0]] + 1
             if val > best_len:
-                best_len, best = val, (first,)
-                segment = best
-            for h in up[first]:
+                best_len, best = val, comp
+            for h in up[comp[0]]:
                 if feed[h] < val:
-                    segment = segment or (first,)
-                    feed[h], into[h] = val, segment
+                    feed[h], into[h] = val, comp
             continue
         largest = max(largest, len(comp))
         best_len, best, nodes = _search_component(

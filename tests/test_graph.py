@@ -31,7 +31,7 @@ from dmp.constructions import (
     star_graph,
 )
 from dmp.bounds import Gnp, RandomTree, random_graph
-from dmp.solver import is_degree_monotone
+from dmp.solver import is_degree_monotone, mp_exact
 
 from strategies import graphs
 
@@ -225,6 +225,16 @@ def test_the_json_reader_keeps_one_int_object_per_vertex_with_an_edge(drawn_tree
     _check_isolated_vertices(parse_json_text(text), tree, 51_000)
 
 
+def test_a_header_alone_parses_and_solves_within_the_vertex_limit_budget():
+    # the declared n sets what MAX_FILE_VERTICES bounds: parsing and solving an
+    # edgeless graph peak at 208.6 bytes per vertex, and a list of every
+    # equal-degree component, kept beside the solver's lists, made it 265.6
+    n = 50_000
+    res, _, peak = _traced(lambda: mp_exact(parse_graph_text(f"{n} 0\n")))
+    assert res.value == 1
+    assert peak < 230 * n
+
+
 def test_the_vertex_limit_holds_for_files_only():
     assert parse_graph_text(f"{MAX_FILE_VERTICES} 0\n").n == MAX_FILE_VERTICES
     assert from_edge_list(_TOO_MANY, [(0, 1)]).n == _TOO_MANY
@@ -241,6 +251,17 @@ def test_membership_at_both_ends_of_a_long_neighbour_tuple():
         assert not g.has_edge(u, v)
     assert not is_degree_monotone(g, [1, 2]) and not is_degree_monotone(g, [n - 2, n - 1])
     assert not is_degree_monotone(g, [1, 0, n - 1])  # degrees 1, n - 1, 1
+
+
+@pytest.mark.parametrize("u, v", [
+    (True, 2), (2, True), (False, 1), (1.0, 2), (2, 1.0), ("1", 2), (2, "1"), (None, 0),
+], ids=["bool", "bool-second", "false", "float", "float-second", "str", "str-second", "none"])
+def test_has_edge_is_false_for_a_non_int_id(u, v):
+    # True equals 1, so it used to find vertex 1's edges, and a float or str id
+    # raised TypeError
+    g = from_edge_list(3, [(0, 1), (1, 2)])
+    assert g.has_edge(1, 2) and g.has_edge(0, 1)
+    assert g.has_edge(u, v) is False
 
 
 def test_degree_out_of_range():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from dmp.constructions import (
 from dmp.solver import (
     BudgetExceededError,
     SearchLimits,
+    _components,
     is_degree_monotone,
     mp_exact,
     mp_oracle,
@@ -329,16 +331,22 @@ def _class_dp(g):
     return max(best_end)
 
 
-def _cubic_plus_hub(k, p, rng):
-    """A random cubic graph on k vertices (configuration model with
-    rejection), plus a vertex k joined to each vertex with probability p."""
+def _random_cubic_edges(k, rng):
+    """The sorted edges of a random cubic graph on k vertices: configuration
+    model with rejection."""
     while True:
         points = [v for v in range(k) for _ in range(3)]
         rng.shuffle(points)
         edges = {(min(u, v), max(u, v)) for u, v in zip(points[::2], points[1::2])}
         if len(edges) == 3 * k // 2 and all(u != v for u, v in edges):
-            break
-    return from_edge_list(k + 1, sorted(edges) + [(v, k) for v in range(k) if rng.random() < p])
+            return sorted(edges)
+
+
+def _cubic_plus_hub(k, p, rng):
+    """A random cubic graph on k vertices plus a vertex k joined to each vertex
+    with probability p."""
+    edges = _random_cubic_edges(k, rng)
+    return from_edge_list(k + 1, edges + [(v, k) for v in range(k) if rng.random() < p])
 
 
 def _reference_graphs():
@@ -363,6 +371,102 @@ def test_exact_matches_class_dp_beyond_oracle_size():
         res = mp_exact(g)
         assert res.value == _class_dp(g)
         assert is_degree_monotone(g, res.witness.vertices)
+
+
+def _equal_degree_components(g):
+    """The connected components of each degree's subgraph, as vertex lists in order
+    of their smallest id, found by a search of this test's own."""
+    deg = [len(a) for a in g.adj]
+    seen = [False] * g.n
+    comps = []
+    for s in range(g.n):
+        if not seen[s]:
+            seen[s] = True
+            comp = [s]
+            for v in comp:
+                for w in g.adj[v]:
+                    if deg[w] == deg[v] and not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+            comps.append(comp)
+    return comps
+
+
+@given(graphs())
+def test_components_walk_each_equal_degree_class_once(g):
+    same, up = [None] * g.n, [None] * g.n
+    comps = list(_components(g.adj, same, up))
+    assert all(type(c) is tuple for c in comps)
+    assert sorted(chain.from_iterable(comps)) == list(range(g.n))
+    deg = [len(a) for a in g.adj]
+    order = [(deg[c[0]], min(c)) for c in comps]
+    assert order == sorted(order)  # ascending degree, then smallest id
+    assert sorted(map(sorted, comps)) == sorted(map(sorted, _equal_degree_components(g)))
+    for v in range(g.n):
+        assert same[v] == [w for w in g.adj[v] if deg[w] == deg[v]]
+        assert up[v] == [w for w in g.adj[v] if deg[w] > deg[v]]
+
+
+def test_components_are_walked_one_at_a_time():
+    # path_graph(5): ends of degree 1 first, then the inner class; a component is
+    # split only when the walk reaches it
+    same, up = [None] * 5, [None] * 5
+    walk = _components(path_graph(5).adj, same, up)
+    assert next(walk) == (0,) and up[0] == [1]
+    assert same[4] is None and up[4] is None and up[1] is None
+    assert list(walk) == [(4,), (1, 2, 3)]
+
+
+def _chain_bound(g):
+    """U: the most vertices on a chain of whole equal-degree components, each
+    adjacent to the next from below.  A non-decreasing path's maximal
+    equal-degree segments lie in such a chain, one per component, so mp <= U."""
+    deg = [len(a) for a in g.adj]
+    comps = _equal_degree_components(g)
+    where = [0] * g.n
+    for i, comp in enumerate(comps):
+        for v in comp:
+            where[v] = i
+    longest = [0] * len(comps)  # most vertices on a chain that ends at comps[i]
+    for i in sorted(range(len(comps)), key=lambda i: deg[comps[i][0]]):
+        below = (longest[where[w]] for v in comps[i] for w in g.adj[v] if deg[w] < deg[v])
+        longest[i] = len(comps[i]) + max(below, default=0)
+    return max(longest)
+
+
+def _certificate_graphs():
+    yield "path_graph(5000)", path_graph(5000)
+    yield "path_graph(50000)", path_graph(50_000)
+    for n, seed in [(10_000, 1), (10_000, 2), (10_000, 3), (30_000, 4), (30_000, 5),
+                    (100_000, 6)]:
+        yield f"tree{n}#{seed}", random_graph(RandomTree(n), seed)
+    yield "tree8#19 x tree10#22", cartesian_product(random_graph(RandomTree(8), 19),
+                                                    random_graph(RandomTree(10), 22))
+    yield "cubic-40", from_edge_list(40, _random_cubic_edges(40, random.Random(40)))
+
+
+# the graphs of _certificate_graphs whose mp meets the chain bound, which proves it
+CHAIN_BOUND_MET = ["cubic-40", "path_graph(5000)", "path_graph(50000)", "tree10000#2",
+                   "tree8#19 x tree10#22"]
+
+
+def test_values_beyond_the_oracle_are_certified_by_the_chain_bound():
+    # no oracle reaches these graphs: a value above U, or a witness that is not a
+    # non-decreasing path of `value` vertices, is a defect; pinning the graphs
+    # that meet U catches a solver that loses length on them
+    met = []
+    for name, g in _certificate_graphs():
+        res = mp_exact(g)
+        bound = _chain_bound(g)
+        path = res.witness.vertices
+        assert res.value <= bound, name
+        assert len(set(path)) == len(path) == res.value, name
+        assert all(b in g.adj[a] for a, b in zip(path, path[1:])), name
+        degs = [len(g.adj[v]) for v in path]
+        assert degs == sorted(degs), name
+        if res.value == bound:
+            met.append(name)
+    assert sorted(met) == CHAIN_BOUND_MET
 
 
 # sha256 over the witnesses of _witness_graphs, see _witness_digest
