@@ -436,10 +436,14 @@ def run_campaign(
     jobs: int = 1,
 ) -> tuple[list[BoundCheckRecord], CampaignSummary]:
     """Run all trials; deterministic for a fixed config, regardless of jobs."""
+    for name, count in (("trials", config.trials), ("seed", config.seed), ("jobs", jobs)):
+        if type(count) is not int:  # type(), not isinstance(): True and False are not ints
+            raise ValueError(f"{name} must be an int, got {count!r}")
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
     policy = config.target_policy
-    if policy is not None and (len(policy) != 2 or policy[0] != "sample"):
+    if policy is not None and (len(policy) != 2 or policy[0] != "sample"
+                               or type(policy[1]) is not int):
         raise ValueError(f"target_policy must be None or ('sample', j), got {policy!r}")
     if policy is not None and policy[1] < 1:
         raise ValueError(f"sample must be >= 1, got {policy[1]}")

@@ -19,11 +19,10 @@ an edge whose degree strictly increases.  So ``mp_exact`` takes two steps.
 The generator ``_components`` walks the components one at a time in ascending
 degree (ties by smallest id), splitting each member's sorted neighbours into
 ``same`` and ``up`` (equal and higher degree) as it joins.  ``mp_exact`` closes
-each once by one route: a single vertex inline, as it needs no search, with
-its component tuple as its segment; a larger component C by one call of
-``_search_component``.  ``feed[v]`` is the vertex count of the longest path
-ending at a lower-degree neighbour of v; it is final before v's component is
-reached, and a path entering C at a has ``feed[a] + 1`` vertices.
+each once: a single vertex inline, as it needs no search, and a larger
+component C by ``_search_component``.  ``feed[v]`` is the vertex count of the
+longest path ending at a lower-degree neighbour of v; it is final before v's
+component is reached, and a path entering C at a has ``feed[a] + 1`` vertices.
 
 ``_search_component`` runs a depth-first search with an explicit stack, so
 path length is not limited by Python's recursion limit.  It runs over
@@ -35,9 +34,12 @@ finished once that is at most its floor: ``min(feed[h])`` over the exits of
 C, the vertices h adjacent to C from above.  The floor of a component with no
 exits is the global best itself, read directly on each new best.  Feeds only
 grow, so with exits the floor is recomputed only when a raised ``feed[h]``
-was at the floor.  ``into[h]`` is the segment whose end set ``feed[h]``;
-``mp_exact`` builds the witness from the best segment, then ``into`` of each
-start in turn.  The best path is copied once: a long path costs linear time.
+was at the floor.
+
+A path is its last cell ``(vertex, previous cell)``, ``()`` the empty one.  A
+push adds a cell that shares the path before it, so the best path and
+``into[h]``, the path whose end set ``feed[h]``, are cells, never copies; a
+path from a continues ``into[a]``.  The witness walks back from the best cell.
 """
 
 from __future__ import annotations
@@ -56,14 +58,14 @@ class BudgetExceededError(RuntimeError):
 
 
 class SearchLimits(_Frozen):
-    """The solver's node budget, at least 1.  An immutable value."""
+    """The solver's node budget, an int of at least 1.  An immutable value."""
 
     __slots__ = _fields = ("node_budget",)
     node_budget: int
 
     def __init__(self, node_budget: int = 50_000_000) -> None:
-        if node_budget < 1:
-            raise ValueError(f"node budget must be >= 1, got {node_budget}")
+        if type(node_budget) is not int or node_budget < 1:  # a bool is not an int here
+            raise ValueError(f"node budget must be an int >= 1, got {node_budget!r}")
         super().__init__(node_budget)
 
 
@@ -124,47 +126,45 @@ def _search_component(comp, same, up, feed, into, on_path, best_len, best, nodes
     size = len(comp)
     exits = set(chain.from_iterable(map(up.__getitem__, comp)))
     floor = min(map(feed.__getitem__, exits)) if exits else best_len
-    path: list[int] = []
     for a in sorted(sorted(comp), key=feed.__getitem__, reverse=True):  # ties by id
-        base = feed[a]
+        base = val = feed[a]
         if base + size <= floor:
             break
-        stack, w = [], a  # one iterator over equal-degree neighbours per path vertex
+        cell, w = into[a], a  # the path so far: into[a], then a cell per pushed vertex
+        stack = []  # one iterator over equal-degree neighbours per path vertex
         while True:  # push w, then find the next w or finish this start
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(f"node budget {budget} exceeded in an equal-"
                                           f"degree component of {size} vertices")
             on_path[w] = True
-            path.append(w)
-            val = base + len(path)
+            cell = (w, cell)
+            val += 1
             moved = False  # whether the floor may have risen
             if val > best_len:
-                best_len, best = val, None  # None: the current path, copied before it shrinks
+                best_len, best = val, cell
                 moved = not exits
-            segment = None
             for h in up[w]:
                 if feed[h] < val:
                     moved = moved or feed[h] == floor
-                    segment = segment or tuple(path)
-                    feed[h], into[h] = val, segment
+                    feed[h], into[h] = val, cell
             if moved:
                 floor = min(map(feed.__getitem__, exits)) if exits else best_len
                 if base + size <= floor:
                     # no later start can raise a value: the component's feeds are fixed,
                     # starts go in non-increasing feed and the floor only rises; on_path
                     # stays set, as later components are disjoint from this one
-                    return best_len, tuple(path) if best is None else best, nodes
+                    return best_len, best, nodes
             stack.append(iter(same[w]))
             while stack:  # next w: an equal-degree neighbour off the path
                 for w in stack[-1]:
                     if not on_path[w]:
                         break
                 else:
-                    if best is None:
-                        best = tuple(path)
                     stack.pop()
-                    on_path[path.pop()] = False
+                    on_path[cell[0]] = False
+                    cell = cell[1]
+                    val -= 1
                     continue
                 break
             else:
@@ -214,32 +214,32 @@ def mp_exact(g: Graph, limits: SearchLimits | None = None) -> MpResult:
     same: list[list[int] | None] = [None] * n  # equal-degree neighbours; None: unseen
     up: list[list[int] | None] = [None] * n  # higher-degree neighbours
     feed = [0] * n
-    into: list[tuple | None] = [None] * n  # the segment whose end set feed[v]
-    best_len, best = 0, ()  # the best path's last segment
+    into: list[tuple] = [()] * n  # the last cell of the path that set feed[v]
+    best_len, best = 0, ()  # the best path's last cell
     on_path = [False] * n
     nodes = 0
     largest = 1
 
     for components, comp in enumerate(_components(g.adj, same, up), 1):
-        if len(comp) == 1:  # a single vertex needs no search and is its own segment
-            val = feed[comp[0]] + 1
+        if len(comp) == 1:  # a single vertex needs no search
+            v = comp[0]
+            val, cell = feed[v] + 1, (v, into[v])
             if val > best_len:
-                best_len, best = val, comp
-            for h in up[comp[0]]:
+                best_len, best = val, cell
+            for h in up[v]:
                 if feed[h] < val:
-                    feed[h], into[h] = val, comp
+                    feed[h], into[h] = val, cell
             continue
         largest = max(largest, len(comp))
         best_len, best, nodes = _search_component(
             comp, same, up, feed, into, on_path, best_len, best, nodes, budget)
 
-    segments = []
-    while best:  # each segment's start was fed by the segment before it
-        segments.append(best)
-        best = into[best[0]]
-    vertices = tuple(chain.from_iterable(reversed(segments)))
+    vertices = []
+    while best:  # walk back from the best path's last cell
+        vertices.append(best[0])
+        best = best[1]
     stats = SearchStats(nodes, components, largest, time.perf_counter() - started)
-    return MpResult(best_len, MonotonePath(vertices), stats)
+    return MpResult(best_len, MonotonePath(tuple(reversed(vertices))), stats)
 
 
 def mp_oracle(g: Graph) -> int:

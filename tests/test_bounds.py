@@ -260,6 +260,11 @@ def test_campaign_rejects_unknown_theorem():
 def test_campaign_rejects_zero_trials():
     with pytest.raises(ValueError):
         run_campaign(CampaignConfig("edge_add", Gnp(5, 0.5), trials=0, seed=1))
+    # trials and seed are ints, and True and False are not
+    for trials, seed, name in [(True, 1, "trials"), (3.0, 1, "trials"),
+                               (3, True, "seed"), (3, 1.5, "seed")]:
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            run_campaign(CampaignConfig("edge_add", Gnp(5, 0.5), trials=trials, seed=seed))
 
 
 @pytest.mark.parametrize("j", [0, -1])
@@ -271,7 +276,7 @@ def test_campaign_rejects_sample_below_one(j):
         run_campaign(config)
 
 
-@pytest.mark.parametrize("policy", ["all", ("every", 2)])
+@pytest.mark.parametrize("policy", ["all", ("every", 2), ("sample", True), ("sample", "2")])
 def test_campaign_rejects_unknown_target_policy(policy):
     config = CampaignConfig("edge_add", Gnp(6, 0.4), 3, 1, policy)
     with pytest.raises(ValueError, match="target_policy"):

@@ -313,7 +313,7 @@ def test_worker_count_is_capped(monkeypatch):
     assert bounds._worker_count(8, 1_000) == 1
 
 
-@pytest.mark.parametrize("jobs", [0, -4])
+@pytest.mark.parametrize("jobs", [0, -4, True, "2"])
 def test_campaign_rejects_jobs_below_one(jobs):
     with pytest.raises(ValueError, match="jobs"):
         run_campaign(CampaignConfig("edge_add", Gnp(5, 0.5), trials=3, seed=1), jobs=jobs)

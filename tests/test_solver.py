@@ -67,6 +67,17 @@ def test_long_equal_degree_path_takes_linear_time():
     assert res.stats.seconds < 10
 
 
+def test_fan_takes_linear_time():
+    # a path on L vertices plus a hub joined to all of them: every push raises the
+    # hub's feed, so a copy of the path at each raise would make the search quadratic
+    L = 60_000
+    g = from_edge_list(L + 1, [(v, v + 1) for v in range(L - 1)] + [(v, L) for v in range(L)])
+    res = mp_exact(g)
+    assert res.value == len(res.witness.vertices) == L
+    assert is_degree_monotone(g, res.witness.vertices)
+    assert res.stats.seconds < 3
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_mp_complete(n):
     assert mp_exact(complete_graph(n)).value == n
@@ -142,9 +153,9 @@ def test_budget_exceeded_raises():
         mp_exact(g, SearchLimits(node_budget=5))
 
 
-@pytest.mark.parametrize("budget", [0, -5])
+@pytest.mark.parametrize("budget", [0, -5, True, None, "5", 2.5])
 def test_budget_below_one_rejected(budget):
-    with pytest.raises(ValueError, match="node budget must be >= 1"):
+    with pytest.raises(ValueError, match="node budget must be an int >= 1"):
         SearchLimits(node_budget=budget)
 
 
