@@ -21,7 +21,7 @@ _EXPORTS = {name: module for module, names in {
     ),
     "operations": (
         "add_edge", "add_vertex", "cartesian_product", "contract_edge", "delete_edge",
-        "delete_vertex", "join", "product_index", "subdivide_edge",
+        "delete_vertex", "join", "subdivide_edge",
     ),
     "constructions": (
         "ConstructionInstance", "FamilyInfo", "apply_designated", "generate", "list_families",

@@ -294,7 +294,7 @@ class Gnp(Model):
 
     def draw(self, rng: random.Random) -> Graph:
         n, p, rand = self.n, self.p, rng.random  # bound once, read for every pair
-        if n < 1 or not 0.0 <= p <= 1.0:
+        if type(n) is not int or n < 1 or type(p) is bool or not 0.0 <= p <= 1.0:
             raise ValueError(f"bad gnp parameters {self}")
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rand() < p]
         return from_edge_list(n, edges)
@@ -322,8 +322,8 @@ class RandomTree(Model):
         neighbour tuple is its slice of that order with its parent put in.
         """
         n = self.n
-        if n < 1:
-            raise ValueError(f"bad tree size {n}")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"bad tree size {n!r}")
         order = list(range(n))
         seq = [rng.choice(order) for _ in range(n - 2)]
         root = order.pop()
@@ -366,7 +366,8 @@ class RandomBipartite(Model):
 
     def draw(self, rng: random.Random) -> Graph:
         n1, n2, p, rand = self.n1, self.n2, self.p, rng.random
-        if n1 < 1 or n2 < 1 or not 0.0 <= p <= 1.0:
+        if (type(n1) is not int or type(n2) is not int or n1 < 1 or n2 < 1
+                or type(p) is bool or not 0.0 <= p <= 1.0):
             raise ValueError(f"bad bipartite parameters {self}")
         edges = [(u, n1 + w) for u in range(n1) for w in range(n2) if rand() < p]
         return from_edge_list(n1 + n2, edges)
@@ -442,8 +443,8 @@ def run_campaign(
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
     policy = config.target_policy
-    if policy is not None and (len(policy) != 2 or policy[0] != "sample"
-                               or type(policy[1]) is not int):
+    if policy is not None and (not isinstance(policy, tuple) or len(policy) != 2
+                               or policy[0] != "sample" or type(policy[1]) is not int):
         raise ValueError(f"target_policy must be None or ('sample', j), got {policy!r}")
     if policy is not None and policy[1] < 1:
         raise ValueError(f"sample must be >= 1, got {policy[1]}")

@@ -151,12 +151,12 @@ def _parse_ids(raw: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {raw!r}") from None
 
 
-# per target kind (operations.target_kind): its flags with their types, and its target
+# per target kind (operations.target_kind): its typed flags, and its target from their values
 _TARGET_FLAGS = {
-    "edge": ({"u": _int, "v": _int}, lambda args: (args.u, args.v)),
-    "vertex": ({"vertex": _int}, lambda args: args.vertex),
-    "neighbors": ({"neighbors": str}, lambda args: _parse_ids(args.neighbors)),
-    "partner": ({"partner": str}, lambda args: _read_graph(args.partner, "auto")),
+    "edge": ({"u": _int, "v": _int}, tuple),
+    "vertex": ({"vertex": _int}, lambda values: values[0]),
+    "neighbors": ({"neighbors": str}, lambda values: _parse_ids(values[0])),
+    "partner": ({"partner": str}, lambda values: _read_graph(values[0], "auto")),
 }
 
 
@@ -179,8 +179,7 @@ def _op_target(args, op: str):
 
     flags, read = _TARGET_FLAGS[target_kind(op)]
     every = [f for kind_flags, _ in _TARGET_FLAGS.values() for f in kind_flags]
-    _flag_values(args, flags, every, f"--op {args.op}")
-    return read(args)
+    return read(_flag_values(args, flags, every, f"--op {args.op}"))
 
 
 def _cmd_op(args) -> int:

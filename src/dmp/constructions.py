@@ -314,6 +314,6 @@ def generate(family: str, params: dict[str, int]) -> ConstructionInstance:
             f"family {family!r} takes params {expected}, got {sorted(params)}"
         )
     for name, minimum in info.params:
-        if params[name] < minimum:
-            raise ValueError(f"family {family!r} needs {name} >= {minimum}, got {params[name]}")
+        if type(params[name]) is not int or params[name] < minimum:  # a bool is not an int
+            raise ValueError(f"family {family!r} needs {name} >= {minimum}, got {params[name]!r}")
     return ConstructionInstance(family, dict(params), *info.build(**params))

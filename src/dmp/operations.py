@@ -104,11 +104,11 @@ def add_vertex(g: Graph, neighbors: list[int] | tuple[int, ...]) -> Graph:
     """Append a new vertex joined to at least one existing vertex."""
     if len(neighbors) == 0:
         raise ValueError("new vertex needs at least one neighbor")
-    if len(set(neighbors)) != len(neighbors):
-        raise ValueError(f"duplicate neighbors: {neighbors}")
-    for w in neighbors:
+    for w in neighbors:  # ids first: False equals 0, so [0, False] would read as a duplicate
         if not (type(w) is int and 0 <= w < g.n):
             raise ValueError(f"neighbor {w!r} out of range for n={g.n}")
+    if len(set(neighbors)) != len(neighbors):
+        raise ValueError(f"duplicate neighbors: {neighbors}")
     new = g.n
     adj = list(g.adj)
     for w in neighbors:
@@ -129,11 +129,6 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
         adj[w] = _remove(adj[w], v)
     del adj[v]
     return Graph(g.n - 1, tuple([_reindexed(a, v, id_map) for a in adj])), id_map
-
-
-def product_index(a: int, b: int, h_n: int) -> int:
-    """Index of product vertex (a, b) for a right-hand factor on h_n vertices."""
-    return a * h_n + b
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:

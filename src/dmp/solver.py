@@ -84,16 +84,15 @@ class SearchStats(NamedTuple):
 
 
 class MpResult(_Frozen):
-    """mp(G), a witness path, and the search statistics.  An immutable value whose
-    equality and hash take ``value`` and ``witness`` only, not ``stats``."""
+    """mp(G), a witness path, and the statistics of the search that found them.  An
+    immutable value whose equality and hash take ``value`` and ``witness``, not ``stats``."""
 
     __slots__ = _fields = ("value", "witness", "stats")
     value: int
     witness: MonotonePath
-    stats: SearchStats | None
+    stats: SearchStats
 
-    def __init__(self, value: int, witness: MonotonePath,
-                 stats: SearchStats | None = None) -> None:
+    def __init__(self, value: int, witness: MonotonePath, stats: SearchStats) -> None:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "stats", stats)
@@ -103,18 +102,15 @@ class MpResult(_Frozen):
 
 
 def is_degree_monotone(g: Graph, vertices: list[int] | tuple[int, ...]) -> bool:
-    """Check that ``vertices`` is a path with monotone degrees; singletons pass."""
+    """Check that ``vertices`` is a degree-monotone path; singletons pass; ids as ``Graph.degree``."""
     if len(vertices) == 0:
         raise ValueError("empty vertex list")
     if len(set(vertices)) != len(vertices):
         raise ValueError("duplicate vertices in path")
-    for v in vertices:
-        if not (type(v) is int and 0 <= v < g.n):
-            raise ValueError(f"vertex {v!r} out of range for n={g.n}")
+    degs = [g.degree(v) for v in vertices]
     for a, b in zip(vertices, vertices[1:]):
         if not g.has_edge(a, b):
             return False
-    degs = [len(g.adj[v]) for v in vertices]
     non_decr = all(a <= b for a, b in zip(degs, degs[1:]))
     non_incr = all(a >= b for a, b in zip(degs, degs[1:]))
     return non_decr or non_incr

@@ -113,6 +113,8 @@ def test_check_bound_unknown_theorem():
 def test_gnp_extremes():
     assert random_graph(Gnp(5, 0.0), 9).m == 0
     assert random_graph(Gnp(4, 1.0), 9) == complete_graph(4)
+    assert random_graph(Gnp(5, 0), 9).m == 0  # an int p of 0 or 1 is a probability
+    assert random_graph(Gnp(4, 1), 9) == complete_graph(4)
 
 
 def test_gnp_rejects_bad_parameters():
@@ -120,6 +122,10 @@ def test_gnp_rejects_bad_parameters():
         random_graph(Gnp(0, 0.5), 1)
     with pytest.raises(ValueError):
         random_graph(Gnp(5, 1.5), 1)
+    with pytest.raises(ValueError):  # a bool p is not a probability: True drew K3
+        random_graph(Gnp(3, True), 1)
+    with pytest.raises(ValueError):
+        random_graph(Gnp(3.0, 0.5), 1)
 
 
 @pytest.mark.parametrize("model", [
@@ -128,6 +134,12 @@ def test_gnp_rejects_bad_parameters():
     RandomBipartite(3, 0, 0.5),
     RandomBipartite(3, 3, -0.1),
     RandomBipartite(3, 3, 1.5),
+    RandomTree(True),  # a bool size drew Graph(n=True, ...)
+    RandomTree(3.5),
+    RandomBipartite(True, 2, 0.5),
+    RandomBipartite(2, True, 0.5),
+    RandomBipartite("3", 2, 0.5),
+    RandomBipartite(3, 2, True),
 ], ids=repr)
 def test_models_reject_bad_parameters(model):
     with pytest.raises(ValueError, match="bad "):
@@ -276,7 +288,7 @@ def test_campaign_rejects_sample_below_one(j):
         run_campaign(config)
 
 
-@pytest.mark.parametrize("policy", ["all", ("every", 2), ("sample", True), ("sample", "2")])
+@pytest.mark.parametrize("policy", ["all", ("every", 2), ("sample", True), ("sample", "2"), 5])
 def test_campaign_rejects_unknown_target_policy(policy):
     config = CampaignConfig("edge_add", Gnp(6, 0.4), 3, 1, policy)
     with pytest.raises(ValueError, match="target_policy"):

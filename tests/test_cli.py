@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -6,8 +7,8 @@ from dmp import bounds
 from dmp.cli import _oracle_graphs, main
 from dmp.graph import (MAX_FILE_VERTICES, parse_edge_list_text, parse_json_text, to_edge_list_text,
                        to_json_text)
-from dmp.constructions import complete_graph, list_families, path_graph
-from dmp.operations import OP_KINDS
+from dmp.constructions import complete_graph, generate, list_families, path_graph
+from dmp.operations import OP_KINDS, target_kind
 from dmp.solver import mp_exact
 
 
@@ -591,6 +592,40 @@ def test_op_rejects_target_flags_of_another_kind(tmp_path, capsys, flags, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+# sha256 of dmp op over the catalog, see test_op_over_the_catalog_is_pinned
+OP_CATALOG_DIGEST = "addeb951f35823aaefdea904b3375c42bbda6b20f891ba880498ded80ba3d05d"
+
+
+def test_op_over_the_catalog_is_pinned(tmp_path, capsys):
+    # every family at its minimum and minimum+2: construct writes the graph (and
+    # partner), then op applies the designated operation to the designated target
+    h = hashlib.sha256()
+    graph, partner = str(tmp_path / "g.txt"), str(tmp_path / "h.txt")
+    target_flags = {  # per target kind, the op flags that name the target
+        "edge": lambda t: ["--u", str(t[0]), "--v", str(t[1])],
+        "vertex": lambda t: ["--vertex", str(t)],
+        "neighbors": lambda t: ["--neighbors", ",".join(map(str, t))],
+        "partner": lambda t: ["--partner", partner],
+    }
+    for info in list_families():
+        for offset in (0, 2):
+            params = {name: minimum + offset for name, minimum in info.params}
+            flags = [x for name, value in params.items() for x in (f"--{name}", str(value))]
+            inst = generate(info.name, params)
+            kind = target_kind(inst.operation)
+            assert main(["construct", "--family", info.name, *flags, "--out", graph]
+                        + (["--partner-out", partner] if kind == "partner" else [])) == 0
+            op = "cartesian" if inst.operation == "cartesian-product" else inst.operation
+            out = tmp_path / f"{info.name}-{offset}.txt"
+            capsys.readouterr()
+            code = main(["op", graph, "--op", op, *target_flags[kind](inst.target),
+                         "--out", str(out)])
+            captured = capsys.readouterr()
+            h.update(repr((info.name, offset, code, captured.out, captured.err,
+                           out.read_bytes())).encode())
+    assert h.hexdigest() == OP_CATALOG_DIGEST
 
 
 def _help(cmd, capsys) -> str:

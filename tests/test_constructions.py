@@ -38,6 +38,18 @@ def test_param_below_bound_rejected():
         generate("g1_plus", {"k": 2})
 
 
+# a parameter is an int: True passed as m = 1, and 4.0 or "4" raised TypeError
+@pytest.mark.parametrize("family, params, message", [
+    ("star", {"m": True}, "needs m >= 1, got True"),
+    ("path", {"n": 4.0}, "needs n >= 3, got 4.0"),
+    ("path", {"n": "4"}, "needs n >= 3, got '4'"),
+], ids=["bool", "float", "str"])
+def test_a_param_that_is_not_an_int_is_rejected(family, params, message):
+    with pytest.raises(ValueError) as info:
+        generate(family, params)
+    assert message in str(info.value)
+
+
 def test_wrong_param_names_rejected():
     with pytest.raises(ValueError, match="takes params"):
         generate("g1_plus", {"n": 3})

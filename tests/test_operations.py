@@ -27,7 +27,6 @@ from dmp.operations import (
     delete_edge,
     delete_vertex,
     join,
-    product_index,
     subdivide_edge,
 )
 from dmp.solver import is_degree_monotone, mp_exact
@@ -81,12 +80,14 @@ def test_edge_operations_reject_bad_edges(op, edge, message):
     (contract_edge, (from_edge_list(4, [(0, 2), (1, 2), (2, 3)]), True, 2),
      "edge (True, 2) not present"),
     (add_vertex, (from_edge_list(2, [(0, 1)]), [False]), "neighbor False out of range"),
+    (add_vertex, (from_edge_list(2, [(0, 1)]), [0, False]), "neighbor False out of range"),
     (delete_vertex, (path_graph(3), True), "vertex True out of range"),
     (delete_vertex, (path_graph(3), 1.0), "vertex 1.0 out of range"),
     (Graph.degree, (path_graph(3), True), "vertex True out of range"),
     (is_degree_monotone, (path_graph(3), [True, 2]), "vertex True out of range"),
 ], ids=["add_edge", "delete_edge", "subdivide_edge", "contract_edge", "add_vertex",
-        "delete_vertex", "delete_vertex_float", "degree", "is_degree_monotone"])
+        "add_vertex_false_beside_0", "delete_vertex", "delete_vertex_float", "degree",
+        "is_degree_monotone"])
 def test_operations_reject_a_non_int_vertex_id(call, args, fragment):
     with pytest.raises(ValueError) as info:
         call(*args)
@@ -219,10 +220,6 @@ def test_product_k3_p3_value():
     assert mp_exact(p).value == 6
 
 
-def test_product_index_round_trip():
-    assert product_index(2, 1, 3) == 7
-
-
 def _int_objects(entries):
     return len(set(map(id, entries)))
 
@@ -251,7 +248,7 @@ def test_product_degree_and_size_identities(g, h):
     assert p.m == g.n * h.m + h.n * g.m
     for a in range(g.n):
         for b in range(h.n):
-            assert p.degree(product_index(a, b, h.n)) == g.degree(a) + h.degree(b)
+            assert p.degree(a * h.n + b) == g.degree(a) + h.degree(b)
 
 
 @given(graphs(min_n=1, max_n=4), graphs(min_n=1, max_n=4))
